@@ -32,6 +32,17 @@ def direction_bases(direction: str) -> tuple[int, int]:
     raise InvalidInput(f"unknown direction {direction!r}")
 
 
+def fresh_prime(prev_modulus: FactoredModulus, factor: FactoredModulus) -> int | None:
+    """p if the step factor is a prime p >= 5 not dividing the previous modulus, else None.
+
+    Exactly these steps admit the discrete-log lift.
+    """
+    p = factor.value
+    if factor.is_prime() and p >= 5 and prev_modulus.value % p != 0:
+        return p
+    return None
+
+
 @dataclass(frozen=True)
 class StepOrders:
     """Multiplicative orders of one base b at one chain step.

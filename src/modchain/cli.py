@@ -69,12 +69,22 @@ def parse_solutions_text(text: str, name: str = "<solutions>") -> list[tuple[int
     return out
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _load_chain(args) -> tuple[Chain, str]:
     """Resolve --chain/--direction into a chain and a direction string."""
     direction = getattr(args, "direction", None)
     path = getattr(args, "chain", None)
     if path:
-        cf = load_chain_file(path)
+        try:
+            cf = load_chain_file(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot read chain file: {exc}") from None
     elif direction:
         cf = parse_chain_file(bundled_chain_text(BUNDLED[direction]), BUNDLED[direction])
     else:
@@ -162,18 +172,25 @@ def _cmd_verify_table1(args) -> int:
 
 def _cmd_validate(args) -> int:
     chain, direction = _load_chain(args)
-    with open(args.solutions) as fh:
-        pairs = parse_solutions_text(fh.read(), args.solutions)
+    try:
+        with open(args.solutions) as fh:
+            pairs = parse_solutions_text(fh.read(), args.solutions)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read solutions file: {exc}") from None
     spec = None
     sols = []
     for x, exps in pairs:
+        if list(exps) != sorted(set(exps)):
+            raise InvalidInput(
+                f"{args.solutions}: {_machine_line(x, exps)} needs strictly increasing exponents"
+            )
         spec = ProblemSpec.from_direction(direction, len(exps))
         total = sum(spec.summand_base**a for a in exps)
         if total != spec.power_base**x:
             raise InvalidInput(
                 f"{args.solutions}: {_machine_line(x, exps)} is not an integer identity"
             )
-        sols.append(ExactSolution(x, exps, True))
+        sols.append(ExactSolution(x, exps))
     result = validate_chain(chain, sols)
     print(f"modulus {result.modulus}")
     print(f"checked {len(sols)} solution(s): {len(result.hazards)} hazard(s), "
@@ -224,11 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--chain", help="chain file path (default: bundled chain)")
     p_solve.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("MODCHAIN_WORKERS", "1")),
+        type=_positive_int,
+        # argparse runs a string default through `type`, so a bad value is a usage error
+        default=os.environ.get("MODCHAIN_WORKERS", "1"),
         help="worker processes for lifting (default: MODCHAIN_WORKERS or 1)",
     )
-    p_solve.add_argument("--memory-cap", type=int, default=1 << 26,
+    p_solve.add_argument("--memory-cap", type=_positive_int, default=1 << 26,
                          help="max table entries per meet-in-the-middle side")
     p_solve.add_argument("--no-early-finalize", action="store_true",
                          help="settle solutions only at chain termination")

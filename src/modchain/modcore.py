@@ -140,10 +140,6 @@ class CycleShape:
     loop_len: int
 
     @property
-    def period_start(self) -> int:
-        return self.tail_len
-
-    @property
     def num_powers(self) -> int:
         """Count of distinct powers of base in Z/MZ."""
         return self.tail_len + self.loop_len

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chains import Chain, ChainStep
+from .chains import Chain, ChainStep, fresh_prime
 from .dlog import log2_mod_3v, log3_mod_2u
 from .errors import InvalidInput, PreconditionViolated
 from .factorint import factorize, is_probable_prime
@@ -300,7 +300,6 @@ def step_diagnostics(chain: Chain, i: int) -> StepDiagnostics:
     if o2 % prev2 != 0 or o3 % prev3 != 0:
         raise InvalidInput("orders do not divide along the chain")
     f = step.factor
-    eligible = f.is_prime() and f.value >= 5 and prev_mod.value % f.value != 0
     return StepDiagnostics(
         index=i,
         factor=f,
@@ -308,5 +307,5 @@ def step_diagnostics(chain: Chain, i: int) -> StepDiagnostics:
         order3_ratio=o3 // prev3,
         tail2_growth=f.two_exp,
         tail3_growth=f.three_exp,
-        unbalanced_eligible=eligible,
+        unbalanced_eligible=fresh_prime(prev_mod, f) is not None,
     )

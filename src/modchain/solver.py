@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .chains import Chain, ChainStep, direction_bases
+from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
 from .errors import (
     BaseModulusTooLarge,
@@ -79,7 +80,6 @@ class ExactSolution:
 
     x: int
     exponents: tuple[int, ...]
-    verified: bool = True
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,6 @@ class Progression:
     start: int
     step: int
     count: int
-
-    def __iter__(self):
-        return iter(range(self.start, self.start + self.step * self.count, self.step or 1))
 
     def __len__(self) -> int:
         return self.count
@@ -207,10 +204,6 @@ def make_solution(
     if pow(spec.power_base, x, M) != total:
         raise InvalidInput(f"congruence fails mod {M} for x={x}, exponents={exponents}")
     return SolutionModM(x, exponents, modulus_index)
-
-
-def reduce_exponent(e: int, shape: CycleShape) -> int:
-    return shape.reduce_exponent(e)
 
 
 def reduce_solution(sol: SolutionModM, spec: ProblemSpec, m: FactoredModulus, index: int = 0) -> SolutionModM:
@@ -523,12 +516,9 @@ def lift_unbalanced(
     (Z/pZ)* and stay in the left lift progression. Useful when chi outruns
     the product of the lift set sizes.
     """
-    factor = nxt.factor
-    if not factor.is_prime() or factor.value < 5:
-        raise UnbalancedInapplicable(f"step factor {factor} is not a prime >= 5")
-    p = factor.value
-    if prev.modulus.value % p == 0:
-        raise UnbalancedInapplicable(f"prime {p} already divides the previous modulus")
+    p = fresh_prime(prev.modulus, nxt.factor)
+    if p is None:
+        raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
     ws = workspace or _StepWorkspace(spec, nxt)
     M = ws.M
     tuples_count = math.prod(pr.count for pr in plan.lift_sets)
@@ -565,40 +555,58 @@ def lift_unbalanced(
     return sorted(found.values(), key=SolutionModM.sort_key)
 
 
-def _use_unbalanced(plan: LiftPlan, prev: ChainStep, nxt: ChainStep) -> bool:
-    if plan.chi <= math.prod(p.count for p in plan.lift_sets):
-        return False
-    f = nxt.factor
-    return f.is_prime() and f.value >= 5 and prev.modulus.value % f.value != 0
-
-
-def _lift_one(
-    sol: SolutionModM,
-    spec: ProblemSpec,
-    prev: ChainStep,
-    nxt: ChainStep,
-    memory_cap: int,
-    ws: _StepWorkspace,
-) -> tuple[str, list[SolutionModM]]:
-    plan = compute_lift_plan(sol, prev, nxt, spec)
-    if _use_unbalanced(plan, prev, nxt):
-        return "unbalanced", lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws)
-    return "balanced", lift_balanced(sol, plan, prev, nxt, spec, memory_cap, ws)
-
-
 def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
     spec, prev, nxt, chunk, memory_cap = args
     ws = _StepWorkspace(spec, nxt)
-    balanced = unbalanced = 0
+    dlog_applies = fresh_prime(prev.modulus, nxt.factor) is not None
+    unbalanced = 0
     out: list[SolutionModM] = []
     for sol in chunk:
-        case, lifted = _lift_one(sol, spec, prev, nxt, memory_cap, ws)
-        if case == "balanced":
-            balanced += 1
-        else:
+        plan = compute_lift_plan(sol, prev, nxt, spec)
+        if dlog_applies and plan.chi > math.prod(p.count for p in plan.lift_sets):
             unbalanced += 1
-        out.extend(lifted)
-    return balanced, unbalanced, out
+            out.extend(lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws))
+        else:
+            out.extend(lift_balanced(sol, plan, prev, nxt, spec, memory_cap, ws))
+    return len(chunk) - unbalanced, unbalanced, out
+
+
+@contextmanager
+def _lift_pool(workers: int):
+    """A process pool of `workers` processes for _lift_step, or None to lift serially."""
+    if workers <= 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        yield pool
+
+
+def _lift_step(
+    working: list[SolutionModM],
+    spec: ProblemSpec,
+    prev: ChainStep,
+    nxt: ChainStep,
+    cfg: SolverConfig,
+    pool,
+) -> tuple[int, int, list[SolutionModM]]:
+    """Lift every solution in `working` from prev's modulus to nxt's.
+
+    Returns (balanced lifts, unbalanced lifts, children sorted by sort_key).
+    Children of different parents never coincide: every lifted exponent
+    reduces to its parent's exponent, so each child reduces to exactly one
+    parent, and `working` holds distinct classes.
+    """
+    if pool is not None and len(working) >= 2 * cfg.workers:
+        size = (len(working) + cfg.workers - 1) // cfg.workers
+        chunks = [working[i : i + size] for i in range(0, len(working), size)]
+        results = list(pool.map(_lift_chunk, [(spec, prev, nxt, c, cfg.memory_cap) for c in chunks]))
+    else:
+        results = [_lift_chunk((spec, prev, nxt, working, cfg.memory_cap))]
+    children = [s for _, _, out in results for s in out]
+    children.sort(key=SolutionModM.sort_key)
+    return sum(r[0] for r in results), sum(r[1] for r in results), children
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +634,7 @@ def _try_finalize(sol: SolutionModM, spec: ProblemSpec) -> ExactSolution | None:
     e = _exact_power_exponent(total, spec.power_base)
     if e is None:
         return None
-    return ExactSolution(e, exps, True)
+    return ExactSolution(e, exps)
 
 
 def _all_determinate(sol: SolutionModM, tail: int) -> bool:
@@ -669,15 +677,8 @@ def solve_chain(
     working = enumerate_base_solutions(spec, chain[0].modulus, max_exponents=cfg.max_base_exponents)
     report.base_count = len(working)
 
-    pool = None
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(cfg.workers)
-
-    try:
-        for idx in range(len(chain)):
-            step = chain[idx]
+    with _lift_pool(cfg.workers) as pool:
+        for idx, step in enumerate(chain.steps):
             t_step = time.perf_counter()
             stats = StepStats(
                 index=step.index,
@@ -689,42 +690,16 @@ def solve_chain(
                 survivors=0,
                 seconds=0.0,
             )
-            if idx > 0 and working:
-                prev = chain[idx - 1]
-                task_args = (spec, prev, step, working, cfg.memory_cap)
-                if pool is not None and len(working) >= 2 * cfg.workers:
-                    size = (len(working) + cfg.workers - 1) // cfg.workers
-                    chunks = [working[i : i + size] for i in range(0, len(working), size)]
-                    results = list(
-                        pool.map(_lift_chunk, [(spec, prev, step, c, cfg.memory_cap) for c in chunks])
-                    )
-                else:
-                    results = [_lift_chunk(task_args)]
-                merged: dict = {}
-                for balanced, unbalanced, sols in results:
-                    stats.balanced += balanced
-                    stats.unbalanced += unbalanced
-                    for s in sols:
-                        merged.setdefault((s.x, s.exponents), s)
-                working = sorted(merged.values(), key=SolutionModM.sort_key)
+            if idx > 0:
+                stats.balanced, stats.unbalanced, working = _lift_step(
+                    working, spec, chain[idx - 1], step, cfg, pool
+                )
 
             tail = step.shape(spec.summand_base).tail_len
             settled = [s for s in working if _all_determinate(s, tail)]
             live = [s for s in working if not _all_determinate(s, tail)]
-            if not live:
-                # natural termination: every exponent everywhere is pinned
-                finalize_batch(settled)
-                stats.finalized_early = len(settled)
-                stats.survivors = 0
-                stats.seconds = time.perf_counter() - t_step
-                report.steps.append(stats)
-                report.terminated_at = step.index
-                report.complete = True
-                working = []
-                if step_callback is not None:
-                    step_callback(stats, working)
-                break
-            if cfg.early_finalize:
+            # with nothing live, every exponent everywhere is pinned: settle and stop
+            if not live or cfg.early_finalize:
                 finalize_batch(settled)
                 stats.finalized_early = len(settled)
                 working = live
@@ -733,9 +708,10 @@ def solve_chain(
             report.steps.append(stats)
             if step_callback is not None:
                 step_callback(stats, working)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            if not live:
+                report.terminated_at = step.index
+                report.complete = True
+                break
 
     solutions = sorted(finals.values(), key=lambda s: (s.x, s.exponents))
     report.seconds = time.perf_counter() - t0
@@ -751,17 +727,14 @@ def modular_solutions(
     """Lift through every chain step with no finalization or early stop.
 
     Returns the modular solution set at the final modulus; the tool behind
-    completeness audits against brute-force enumeration.
+    completeness audits against brute-force enumeration. Lifts in parallel
+    when config.workers > 1, like solve_chain.
     """
     cfg = config or SolverConfig()
     working = enumerate_base_solutions(spec, chain[0].modulus, max_exponents=cfg.max_base_exponents)
-    for idx in range(1, len(chain)):
-        prev, step = chain[idx - 1], chain[idx]
-        _, _, out = _lift_chunk((spec, prev, step, working, cfg.memory_cap))
-        merged: dict = {}
-        for s in out:
-            merged.setdefault((s.x, s.exponents), s)
-        working = sorted(merged.values(), key=SolutionModM.sort_key)
+    with _lift_pool(cfg.workers) as pool:
+        for prev, step in zip(chain.steps, chain.steps[1:]):
+            _, _, working = _lift_step(working, spec, prev, step, cfg, pool)
     return working
 
 

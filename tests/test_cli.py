@@ -114,6 +114,35 @@ def test_solve_usage_error(capsys):
     assert exc.value.code == 2
 
 
+SOLVE_N3 = ("solve", "--direction", "3=sum2", "--n", "3")
+
+
+@pytest.mark.parametrize("workers_env, argv, want", [
+    ("abc", SOLVE_N3, 2),
+    ("abc", ("verify-table1", "--x-max", "1"), 0),  # only solve reads MODCHAIN_WORKERS
+    (None, SOLVE_N3 + ("--workers", "0"), 2),
+    (None, SOLVE_N3 + ("--memory-cap", "-1"), 2),
+    (None, ("solve", "--chain", "missing.chain", "--n", "3"), 2),
+    (None, ("validate", "--direction", "3=sum2", "--solutions", "missing.txt"), 2),
+    (None, ("validate", "--direction", "3=sum2", "--solutions", "binary.txt"), 2),
+])
+def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, workers_env, argv, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.txt").write_bytes(b"\xff\xfe not utf-8")
+    if workers_env is None:
+        monkeypatch.delenv("MODCHAIN_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MODCHAIN_WORKERS", workers_env)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == want, err
+    if want == 2:
+        assert "error:" in err
+
+
 def test_no_early_finalize_flag(capsys):
     code, out, _ = run(capsys, "solve", "--direction", "3=sum2", "--n", "4",
                        "--no-early-finalize", "--format", "machine")
@@ -200,6 +229,14 @@ def test_validate_rejects_non_identity(tmp_path, capsys):
                        "--solutions", str(sols))
     assert code == 2
     assert "not an integer identity" in err
+
+    # identities whose exponents are unsorted or repeated are rejected too
+    for line in ("4 6,4,0\n", "1 0,0,0\n"):
+        sols.write_text(line)
+        code, _, err = run(capsys, "validate", "--direction", "3=sum2",
+                           "--solutions", str(sols))
+        assert code == 2
+        assert "strictly increasing" in err
 
 
 def test_validate_bad_line(tmp_path, capsys):
