@@ -11,15 +11,15 @@ import time
 
 from modchain import ChainExhausted, ProblemSpec, SolverConfig, solve_chain
 from modchain.chains import bundled_chain, load_chain_file
-from modchain.cli import BUNDLED
+from modchain.cli import BUNDLED, _positive_int
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--direction", choices=("3=sum2", "2=sum3"), default="3=sum2")
-    ap.add_argument("--n-max", type=int, default=14)
+    ap.add_argument("--n-max", type=_positive_int, default=14)
     ap.add_argument("--chain", help="chain file (default: the bundled one)")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=_positive_int, default=1)
     args = ap.parse_args()
 
     if args.chain:

@@ -101,6 +101,23 @@ def _load_chain(args) -> tuple[Chain, str]:
     return chain, direction
 
 
+def _write_checkpoint(path: str, step: int, working) -> None:
+    """Write the working set beside `path`, then rename it into place, so a
+    reader never sees a partly written checkpoint."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"# step {step}\n")
+            fh.write(f"# working {len(working)}\n")
+            for s in working:
+                fh.write(_machine_line(s.x, s.exponents) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise InvalidInput(f"cannot write checkpoint: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
     chain, direction = _load_chain(args)
     spec = ProblemSpec.from_direction(direction, args.n)
@@ -114,11 +131,7 @@ def _cmd_solve(args) -> int:
     if args.checkpoint:
 
         def callback(stats, working):
-            with open(args.checkpoint, "w") as fh:
-                fh.write(f"# step {stats.index}\n")
-                fh.write(f"# working {len(working)}\n")
-                for s in working:
-                    fh.write(_machine_line(s.x, s.exponents) + "\n")
+            _write_checkpoint(args.checkpoint, stats.index, working)
 
     try:
         solutions, report = solve_chain(spec, chain, cfg, callback)
@@ -247,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for lifting (default: MODCHAIN_WORKERS or 1)",
     )
     p_solve.add_argument("--memory-cap", type=_positive_int, default=1 << 26,
-                         help="max table entries per meet-in-the-middle side")
+                         help="max multiset entries per lift table side")
     p_solve.add_argument("--no-early-finalize", action="store_true",
                          help="settle solutions only at chain termination")
     p_solve.add_argument("--format", choices=("text", "machine"), default="text")

@@ -17,6 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, groupby
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .modcore import CycleShape, FactoredModulus, crt_pair, cycle_shape
 
-DEFAULT_MEMORY_CAP = 1 << 26  # entries per meet-in-the-middle side
+DEFAULT_MEMORY_CAP = 1 << 26  # multiset entries per lift table side
 DEFAULT_MAX_BASE_EXPONENTS = 64
 
 
@@ -107,7 +108,8 @@ class LiftPlan:
 
     lift_sets[j] holds the candidate new values of exponent a_j; left_lifts
     holds the candidate new values of x. chi = len(left_lifts). split_index k
-    sends lift_sets[:k] to the left (subtracted) side of a balanced match.
+    sends lift_sets[:k] to the left (subtracted) side of a balanced match; it
+    never separates two equal exponents, whose lift sets are one run.
     """
 
     lift_sets: tuple[Progression, ...]
@@ -331,6 +333,20 @@ def lift_progression(e: int, prev: CycleShape, nxt: CycleShape) -> Progression:
     return Progression(start, l0, count)
 
 
+def _runs(lift_sets) -> list[tuple[Progression, int]]:
+    """(lift set, multiplicity) for each run of equal lift sets.
+
+    Exponents are sorted, so equal exponents are adjacent, and only equal
+    exponents share a lift set (lift sets of different exponents are disjoint).
+    """
+    return [(prog, len(list(group))) for prog, group in groupby(lift_sets)]
+
+
+def _multisets(prog: Progression, m: int) -> int:
+    """Number of multisets of size m drawn from prog."""
+    return math.comb(prog.count + m - 1, m)
+
+
 def _choose_split(chi: int, sizes: list[int]) -> int:
     """k minimizing the imbalance between chi*prod(sizes[:k]) and prod(sizes[k:]).
 
@@ -355,15 +371,23 @@ def _choose_split(chi: int, sizes: list[int]) -> int:
 def compute_lift_plan(
     sol: SolutionModM, prev: ChainStep, nxt: ChainStep, spec: ProblemSpec
 ) -> LiftPlan:
-    """Lift sets for each exponent, the left lift set for x, and the split point."""
+    """Lift sets for each exponent, the left lift set for x, and the split point.
+
+    The split balances multiset counts: a run of m equal exponents whose lift
+    set has s members costs C(s+m-1, m), and the split falls between runs.
+    """
     if nxt.modulus.value % prev.modulus.value != 0:
         raise NotDivisible("previous modulus must divide the next one")
     ps_prev, ss_prev = prev.shape(spec.power_base), prev.shape(spec.summand_base)
     ps_next, ss_next = nxt.shape(spec.power_base), nxt.shape(spec.summand_base)
-    lift_sets = tuple(lift_progression(a, ss_prev, ss_next) for a in sol.exponents)
+    runs = [
+        (lift_progression(a, ss_prev, ss_next), len(list(group)))
+        for a, group in groupby(sol.exponents)
+    ]
+    lift_sets = tuple(prog for prog, m in runs for _ in range(m))
     left = lift_progression(sol.x, ps_prev, ps_next)
-    sizes = [p.count for p in lift_sets]
-    k = _choose_split(left.count, sizes)
+    r = _choose_split(left.count, [_multisets(prog, m) for prog, m in runs])
+    k = sum(m for _, m in runs[:r])
     return LiftPlan(lift_sets, left, left.count, k)
 
 
@@ -407,39 +431,57 @@ class _StepWorkspace:
         self._fill(self.pow_power, self.spec.power_base, prog)
 
 
-def _expand_sums(
-    entries: list[tuple[int, tuple[int, ...]]],
-    progs,
-    pows: dict[int, int],
-    M: int,
-    sign: int,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Cross-product accumulation of (value, exponent tuple) over lift sets."""
-    for prog in progs:
-        vals = [(pows[a], a) for a in prog.members()]
-        if sign > 0:
-            entries = [((v + pv) % M, t + (a,)) for v, t in entries for pv, a in vals]
+def _run_sums(
+    runs: list[tuple[Progression, int]], pows: dict[int, int], M: int
+) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """For each run of m equal exponents: the m-multisets of its lift set as
+    sorted tuples, and their sums of powers mod M."""
+    out = []
+    for prog, m in runs:
+        if m == 1:  # the common case, spelled out for speed
+            members = prog.members()
+            out.append(([(a,) for a in members], [pows[a] for a in members]))
         else:
-            entries = [((v - pv) % M, t + (a,)) for v, t in entries for pv, a in vals]
-    return entries
+            combos = list(combinations_with_replacement(prog.members(), m))
+            out.append((combos, [sum(map(pows.__getitem__, c)) % M for c in combos]))
+    return out
+
+
+def _cross_sums(vals: list[int], tables, M: int, sign: int) -> list[int]:
+    """Add (sign > 0) or subtract one multiset sum per run to every value.
+
+    Entry i * len(combos) + r of each round extends entry i by combos[r], so
+    _decode recovers the exponents behind any index."""
+    for _, sums in tables:
+        if sign > 0:
+            vals = [(v + s) % M for v in vals for s in sums]
+        else:
+            vals = [(v - s) % M for v in vals for s in sums]
+    return vals
+
+
+def _decode(index: int, tables) -> tuple[int, tuple[int, ...]]:
+    """(index into the starting values, exponents) of a _cross_sums entry."""
+    exps: tuple[int, ...] = ()
+    for combos, _ in reversed(tables):
+        index, r = divmod(index, len(combos))
+        exps = combos[r] + exps
+    return index, exps
 
 
 def _emit(
-    found: dict,
+    out: list[SolutionModM],
     x: int,
     exps: tuple[int, ...],
     ws: _StepWorkspace,
     index: int,
 ) -> None:
     exps = tuple(sorted(exps))
-    key = (x, exps)
-    if key in found:
-        return
     if not _distinctness_ok(exps, ws.summand_shape.tail_len):
         return
-    found[key] = make_solution(
+    out.append(make_solution(
         x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape, ws.pow_summand
-    )
+    ))
 
 
 def lift_balanced(
@@ -452,52 +494,48 @@ def lift_balanced(
     workspace: _StepWorkspace | None = None,
 ) -> list[SolutionModM]:
     """Meet-in-the-middle lift: match P^x' minus the first k summand lifts
-    against sums over the remaining lifts, both tabulated modulo the next modulus."""
+    against sums over the remaining lifts, both tabulated modulo the next modulus.
+
+    Each run of equal exponents is drawn as a multiset, so every child is
+    produced exactly once; memory_cap bounds the multiset entries per side.
+    The tables hold values only; the exponents of the rare matches are
+    decoded from their table indices.
+    """
     ws = workspace or _StepWorkspace(spec, nxt)
     k = plan.split_index
-    sizes = [p.count for p in plan.lift_sets]
-    left_count = plan.chi * math.prod(sizes[:k])
-    right_count = math.prod(sizes[k:])
+    if 0 < k < len(plan.lift_sets) and plan.lift_sets[k - 1] == plan.lift_sets[k]:
+        raise InvalidInput("split_index must not separate equal exponents")
+    left_runs, right_runs = _runs(plan.lift_sets[:k]), _runs(plan.lift_sets[k:])
+    left_count = plan.chi * math.prod(_multisets(*run) for run in left_runs)
+    right_count = math.prod(_multisets(*run) for run in right_runs)
     if max(left_count, right_count) > memory_cap:
         raise MemoryBudgetExceeded(
             f"balanced lift needs {left_count}/{right_count} entries, cap is {memory_cap}"
         )
     M = ws.M
     ws.power_pows(plan.left_lifts)
-    for prog in plan.lift_sets:
+    for prog, _ in left_runs + right_runs:
         ws.summand_pows(prog)
 
-    left = [(ws.pow_power[xp], (xp,)) for xp in plan.left_lifts.members()]
-    left = _expand_sums(left, plan.lift_sets[:k], ws.pow_summand, M, sign=-1)
-    right = [(0, ())]
-    right = _expand_sums(right, plan.lift_sets[k:], ws.pow_summand, M, sign=+1)
+    xs = plan.left_lifts.members()
+    left_tables = _run_sums(left_runs, ws.pow_summand, M)
+    right_tables = _run_sums(right_runs, ws.pow_summand, M)
+    left = _cross_sums([ws.pow_power[xp] for xp in xs], left_tables, M, sign=-1)
+    right = _cross_sums([0], right_tables, M, sign=+1)
 
-    left.sort(key=lambda t: t[0])
-    right.sort(key=lambda t: t[0])
-
-    found: dict = {}
-    i = j = 0
-    nl, nr = len(left), len(right)
-    while i < nl and j < nr:
-        lv, rv = left[i][0], right[j][0]
-        if lv < rv:
-            i += 1
-        elif lv > rv:
-            j += 1
-        else:
-            i2 = i
-            while i2 < nl and left[i2][0] == lv:
-                i2 += 1
-            j2 = j
-            while j2 < nr and right[j2][0] == rv:
-                j2 += 1
-            for li in range(i, i2):
-                lt = left[li][1]
-                xp, head = lt[0], lt[1:]
-                for rj in range(j, j2):
-                    _emit(found, xp, head + right[rj][1], ws, sol.modulus_index + 1)
-            i, j = i2, j2
-    return sorted(found.values(), key=SolutionModM.sort_key)
+    out: list[SolutionModM] = []
+    small, big = sorted((left, right), key=len)
+    common = set(small).intersection(big)
+    if not common:
+        return out
+    right_at: dict[int, list[int]] = {}
+    for j in [j for j, v in enumerate(right) if v in common]:
+        right_at.setdefault(right[j], []).append(j)
+    for i in [i for i, v in enumerate(left) if v in common]:
+        xi, head = _decode(i, left_tables)
+        for j in right_at[left[i]]:
+            _emit(out, xs[xi], head + _decode(j, right_tables)[1], ws, sol.modulus_index + 1)
+    return sorted(out, key=SolutionModM.sort_key)
 
 
 def lift_unbalanced(
@@ -511,7 +549,7 @@ def lift_unbalanced(
 ) -> list[SolutionModM]:
     """Dlog-based lift for a step whose factor is a fresh prime p.
 
-    For each combination of summand lifts with sum s, the admissible x' form
+    For each multiset of summand lifts with sum s, the admissible x' form
     (possibly empty) congruence classes: x' must hit the dlog class of s in
     (Z/pZ)* and stay in the left lift progression. Useful when chi outruns
     the product of the lift set sizes.
@@ -521,29 +559,31 @@ def lift_unbalanced(
         raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
     ws = workspace or _StepWorkspace(spec, nxt)
     M = ws.M
-    tuples_count = math.prod(pr.count for pr in plan.lift_sets)
-    if tuples_count > memory_cap:
+    runs = _runs(plan.lift_sets)
+    combos_count = math.prod(_multisets(*run) for run in runs)
+    if combos_count > memory_cap:
         raise MemoryBudgetExceeded(
-            f"unbalanced lift needs {tuples_count} summand combinations, cap is {memory_cap}"
+            f"unbalanced lift needs {combos_count} summand combinations, cap is {memory_cap}"
         )
-    for prog in plan.lift_sets:
+    for prog, _ in runs:
         ws.summand_pows(prog)
     ctx = prime_context(p)
     X = plan.left_lifts
     end = X.start + X.step * X.count
 
-    combos = _expand_sums([(0, ())], plan.lift_sets, ws.pow_summand, M, sign=+1)
-    found: dict = {}
-    for s, exps in combos:
+    tables = _run_sums(runs, ws.pow_summand, M)
+    out: list[SolutionModM] = []
+    for idx, s in enumerate(_cross_sums([0], tables, M, sign=+1)):
         sp = s % p
         if sp == 0:
             continue  # a power of the left base is a unit mod p
         cls = ctx.exponent_class(spec.power_base, sp)
         if cls is None:
             continue
+        exps = _decode(idx, tables)[1]
         if X.count == 1:
             if (X.start - cls.residue_class) % cls.class_modulus == 0:
-                _emit(found, X.start, exps, ws, sol.modulus_index + 1)
+                _emit(out, X.start, exps, ws, sol.modulus_index + 1)
             continue
         merged = crt_pair(X.start % X.step, X.step, cls.residue_class, cls.class_modulus)
         if merged is None:
@@ -551,8 +591,8 @@ def lift_unbalanced(
         r, mod = merged
         first = X.start + (r - X.start) % mod
         for xp in range(first, end, mod):
-            _emit(found, xp, exps, ws, sol.modulus_index + 1)
-    return sorted(found.values(), key=SolutionModM.sort_key)
+            _emit(out, xp, exps, ws, sol.modulus_index + 1)
+    return sorted(out, key=SolutionModM.sort_key)
 
 
 def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
@@ -666,13 +706,14 @@ def solve_chain(
         report.seconds = time.perf_counter() - t0
         return [], report
 
-    finals: dict[tuple[int, tuple[int, ...]], ExactSolution] = {}
+    # a class settles once and its exponents fix x, so no identity is finalised twice
+    finals: list[ExactSolution] = []
 
     def finalize_batch(batch) -> None:
         for s in batch:
             ex = _try_finalize(s, spec)
             if ex is not None:
-                finals.setdefault((ex.x, ex.exponents), ex)
+                finals.append(ex)
 
     working = enumerate_base_solutions(spec, chain[0].modulus, max_exponents=cfg.max_base_exponents)
     report.base_count = len(working)
@@ -713,7 +754,7 @@ def solve_chain(
                 report.complete = True
                 break
 
-    solutions = sorted(finals.values(), key=lambda s: (s.x, s.exponents))
+    solutions = sorted(finals, key=lambda s: (s.x, s.exponents))
     report.seconds = time.perf_counter() - t0
     if not report.complete:
         report.remaining = working

@@ -1,4 +1,6 @@
 import importlib.metadata as md
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +93,8 @@ def test_solve_checkpoint(tmp_path, capsys):
     assert code == 3
     pairs = parse_solutions_text(ckpt.read_text(), "ckpt")
     assert pairs == [(4, (0, 4, 6)), (20, (0, 4, 14))]
+    # each step is written to a temporary file and renamed over the checkpoint
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["short.chain", "state.txt"]
 
 
 def test_solve_needs_some_chain(capsys):
@@ -125,6 +129,8 @@ SOLVE_N3 = ("solve", "--direction", "3=sum2", "--n", "3")
     (None, ("solve", "--chain", "missing.chain", "--n", "3"), 2),
     (None, ("validate", "--direction", "3=sum2", "--solutions", "missing.txt"), 2),
     (None, ("validate", "--direction", "3=sum2", "--solutions", "binary.txt"), 2),
+    (None, SOLVE_N3 + ("--checkpoint", "no/such/dir/ck.txt"), 2),
+    (None, SOLVE_N3 + ("--checkpoint", "."), 2),  # a directory: the rename fails
 ])
 def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, workers_env, argv, want):
     monkeypatch.chdir(tmp_path)
@@ -141,6 +147,18 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, workers_env, argv, 
     assert code == want, err
     if want == 2:
         assert "error:" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary.txt"]  # no stray files
+
+
+@pytest.mark.parametrize("flag", ["--workers", "--n-max"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_sweep_script_rejects_non_positive(monkeypatch, capsys, flag, value):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_solutions.py"
+    monkeypatch.setattr(sys, "argv", [str(script), flag, value])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
 
 
 def test_no_early_finalize_flag(capsys):

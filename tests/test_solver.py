@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,6 +29,7 @@ from modchain import (
     reduce_solution,
     solve_chain,
 )
+from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
 
 from conftest import FAMILY_FACTORS
@@ -373,6 +376,82 @@ def test_split_balance_is_optimal():
     assert all(imbalance(k) > best for k in range(plan.split_index))
 
 
+def ordered_lift(sol, plan, nxt, spec):
+    """Every ordered choice of one lift per exponent that satisfies the
+    congruence mod the next modulus, as a list with repeats (x', sorted tuple)."""
+    M = nxt.modulus.value
+    tail = nxt.shape(spec.summand_base).tail_len
+    out = []
+    for exps in itertools.product(*(p.members() for p in plan.lift_sets)):
+        total = sum(pow(spec.summand_base, a, M) for a in exps) % M
+        t = tuple(sorted(exps))
+        if any(a == b < tail for a, b in zip(t, t[1:])):
+            continue
+        out += [(xp, t) for xp in plan.left_lifts.members()
+                if pow(spec.power_base, xp, M) == total]
+    return out
+
+
+def test_multiset_lift_matches_ordered_lift():
+    # both lift procedures enumerate each run of equal exponents as a
+    # multiset; they must emit exactly the distinct children of the ordered
+    # cross-product, each once, and split the plan between runs
+    rng = random.Random(4242)
+    first = [8, 16, 24, 40, 48, 80, 96, 136]
+    ext = [2, 3, 4, 5, 7, 9, 13, 17, 97]
+    seen = {"repeats": 0, "distinct": 0, "unbalanced": 0}
+    while min(seen.values()) < 40:
+        m0, f = rng.choice(first), rng.choice(ext)
+        ch = chain_of(m0, f)
+        prev, nxt = ch.steps[0], ch.steps[1]
+        spec = ProblemSpec(3, 2, rng.randrange(2, 6))
+        census = rng.random() < 0.5
+        for sol in enumerate_base_solutions(spec, prev.modulus, side_conditions=census)[:20]:
+            plan = compute_lift_plan(sol, prev, nxt, spec)
+            sizes = [len(p) for p in plan.lift_sets]
+            if plan.chi * math.prod(sizes) > 20000:
+                continue
+            exps, k = sol.exponents, plan.split_index
+            assert k in (0, len(exps)) or exps[k - 1] != exps[k], (sol, k)
+            if len(set(exps)) == len(exps):
+                # no runs: the ordered split, the most even one, ties to the smallest k
+                seen["distinct"] += 1
+                sides = [(plan.chi * math.prod(sizes[:j]), math.prod(sizes[j:]))
+                         for j in range(len(sizes) + 1)]
+                ranked = [(Fraction(max(s), min(s)), j) for j, s in enumerate(sides)]
+                assert k == min(ranked)[1]
+            else:
+                seen["repeats"] += 1
+            want = set(ordered_lift(sol, plan, nxt, spec))
+            lifts = [lift_balanced]
+            if fresh_prime(prev.modulus, nxt.factor) is not None:
+                lifts.append(lift_unbalanced)
+                seen["unbalanced"] += 1
+            for lift in lifts:
+                got = [(s.x, s.exponents) for s in lift(sol, plan, prev, nxt, spec)]
+                assert len(got) == len(set(got)), (lift.__name__, sol)
+                assert set(got) == want, (lift.__name__, m0, f, sol)
+
+
+def test_memory_cap_counts_multisets():
+    # (0; 0,4,4) mod 16 lifts to 16*17 with 4 x-lifts; the run 4,4 has 8
+    # lifts, so it is C(9, 2) = 36 multisets against 64 ordered pairs
+    ch = chain_of(16, 17)
+    prev, nxt = ch.steps[0], ch.steps[1]
+    sol = sol_at(ch, 1, 0, (0, 4, 4), SPEC3)
+    plan = compute_lift_plan(sol, prev, nxt, SPEC3)
+    assert (plan.chi, plan.split_index, [len(p) for p in plan.lift_sets]) == (4, 0, [1, 8, 8])
+    want = set(ordered_lift(sol, plan, nxt, SPEC3))
+    for lift in (lift_balanced, lift_unbalanced):
+        got = lift(sol, plan, prev, nxt, SPEC3, memory_cap=36)
+        assert {(s.x, s.exponents) for s in got} == want and len(got) == len(want) == 10
+        with pytest.raises(MemoryBudgetExceeded):
+            lift(sol, plan, prev, nxt, SPEC3, memory_cap=35)
+    # a split inside the run would count each child once per way to share it out
+    with pytest.raises(InvalidInput):
+        lift_balanced(sol, dataclasses.replace(plan, split_index=2), prev, nxt, SPEC3)
+
+
 # ---------------------------------------------------------------------------
 # whole-chain behaviour
 
@@ -391,6 +470,7 @@ def test_solve_small_n(t2):
 def test_finalization_soundness(t2):
     for n in range(1, 7):
         finals, rep = solve_chain(ProblemSpec(3, 2, n), t2)
+        assert len(set(finals)) == len(finals)
         for s in finals:
             assert list(s.exponents) == sorted(set(s.exponents))
             assert 3**s.x == sum(2**a for a in s.exponents)
@@ -526,10 +606,12 @@ def test_restriction_property():
             per_step.append(list(working))
 
         try:
-            solve_chain(spec, ch, SolverConfig(early_finalize=False), step_callback=grab)
-        except ChainExhausted:
-            pass
-        # each child has one parent, so no step holds a class twice
+            finals, _ = solve_chain(spec, ch, SolverConfig(early_finalize=False), step_callback=grab)
+        except ChainExhausted as exc:
+            finals = exc.solutions
+        # each child has one parent, so no step holds a class twice and no
+        # identity is finalised twice
+        assert len(set(finals)) == len(finals)
         for working in per_step:
             keys = [(s.x, s.exponents) for s in working]
             assert len(keys) == len(set(keys))
