@@ -153,7 +153,7 @@ def _cmd_solve(args) -> int:
     where = "parity" if report.parity_shortcut else f"step {report.terminated_at}"
     print(
         f"n={spec.n} {direction}: {len(solutions)} solution(s), settled at {where}, "
-        f"{report.seconds:.2f}s",
+        f"{report.seconds:.2f}s (base {report.base_seconds:.2f}s)",
         file=sys.stderr,
     )
     return 0

@@ -17,7 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
@@ -33,6 +33,11 @@ from .modcore import CycleShape, FactoredModulus, crt_pair, cycle_shape
 
 DEFAULT_MEMORY_CAP = 1 << 26  # multiset entries per lift table side
 DEFAULT_MAX_BASE_EXPONENTS = 64
+# base search tables: one entry is worth two streamed multisets of work (an
+# insert costs about twice a sum and lookup), and a plan may hold at most
+# _BASE_TABLE_CAP entries (about 150 bytes each) at once when any plan can
+_TABLE_ENTRY_WORK = 2
+_BASE_TABLE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,7 @@ class RunReport:
     base_count: int = 0
     parity_shortcut: bool = False
     remaining: list[SolutionModM] = field(default_factory=list)
+    base_seconds: float = 0.0  # enumerate_base_solutions, outside every step
     seconds: float = 0.0
 
 
@@ -219,18 +225,85 @@ def reduce_solution(sol: SolutionModM, spec: ProblemSpec, m: FactoredModulus, in
 # base enumeration
 
 
+def _multiset_count(k: int, m: int) -> int:
+    """Number of m-multisets drawn from k items."""
+    return math.comb(k + m - 1, m) if k else int(m == 0)
+
+
+def _base_plan(n: int, T: int, det: int, forced: int, num_powers: int) -> tuple[int, list[int]]:
+    """The split s in [det, T] of the base search, and for each left count c
+    the number of top right summands tabled with x, that need the least work.
+
+    Work is table entries (one per left tuple, top multiset and canonical x,
+    weighed _TABLE_ENTRY_WORK) plus bottom multisets streamed, all counted
+    exactly; ties go to the smallest s and the fewest tabled summands. A count
+    whose tables would all exceed _BASE_TABLE_CAP entries makes its s
+    ineligible; if no s is eligible, s = det, and a count that fits no table
+    gets the untopped one, the smallest there is. The left tuples of count c
+    are those of _left_tuples; the right summands of count c are an
+    (n-c)-multiset of [s, T), split into a streamed bottom and a tabled top.
+    """
+    optional = max(det - forced, 0)
+
+    def count_work(s: int, c: int) -> tuple[float, int]:
+        left = sum(
+            math.comb(optional, k) * _multiset_count(s - det, c - forced - k)
+            for k in range(min(optional, c - forced) + 1)
+        )
+        if not left:
+            return 0, 0
+        plans = []
+        for r in range(n - c + 1):
+            entries = num_powers * left * _multiset_count(T - s, r)
+            if entries <= _BASE_TABLE_CAP:
+                plans.append((_TABLE_ENTRY_WORK * entries + _multiset_count(T - s, n - c - r), r))
+        return min(plans, default=(math.inf, 0))
+
+    s = min(range(det, T + 1), key=lambda s: sum(count_work(s, c)[0] for c in range(n + 1)))
+    return s, [count_work(s, c)[1] for c in range(n + 1)]
+
+
+def _left_tuples(c: int, s: int, det: int, forced: int):
+    """Sorted exponent tuples of count c over [0, s) that meet the side
+    conditions: `forced` leading zeros, then k of the optional determinate
+    indices [forced, det) once each, then a multiset of the free indices [det, s)."""
+    optional = range(forced, det)
+    for k in range(min(len(optional), c - forced) + 1):
+        for mid in combinations(optional, k):
+            for tail in combinations_with_replacement(range(det, s), c - forced - k):
+                yield (0,) * forced + mid + tail
+
+
 def enumerate_base_solutions(
     spec: ProblemSpec,
     m1: FactoredModulus,
     side_conditions: bool = True,
     max_exponents: int = DEFAULT_MAX_BASE_EXPONENTS,
 ) -> list[SolutionModM]:
-    """Every solution modulo the first chain modulus, by direct enumeration.
+    """Every solution modulo the first chain modulus, by a meet-in-the-middle search.
 
-    Exponent multisets are scanned as multiplicity vectors over the distinct
-    powers of the summand base. With side_conditions on (the solver default),
-    some exponent must be 0 and determinate exponents cannot repeat; off, the
-    raw census is returned (useful for audits and extraneous-solution checks).
+    With side_conditions on (the solver default), some exponent must be 0 and
+    determinate exponents cannot repeat; off, the raw census of exponent
+    multisets is returned (useful for audits and extraneous-solution checks).
+
+    The summand indices [0, T) split at s >= the tail length, so the side
+    conditions concern only the left part [0, s) and the right part [s, T)
+    is free. For each left count c the right part is an (n-c)-multiset of
+    [s, T). Its r largest members (the top) are tabled with x and the left
+    tuple, keyed by P^x - (left sum) - (top sum) mod M; its other members
+    (the bottom) are streamed with combinations_with_replacement, never
+    stored, and looked up by their sum. A match counts only when the bottom
+    lies below the top, so each multiset is found once. r = 0 is the plain
+    split; r = 1 solves for the last summand, which wins when T is much
+    larger than n.
+
+    Split rule (_base_plan): s and each count's r minimise the work, table
+    entries plus bottoms streamed, from exact counts, with a table entry
+    weighed as two streamed bottoms (an insert costs about twice a lookup).
+    Memory stays bounded because only one count's table is alive at a time
+    and the rule only picks plans whose tables hold at most _BASE_TABLE_CAP
+    entries; the plain split at s = det, which builds the smallest tables,
+    is the fallback when no plan fits.
     """
     power_shape, summand_shape = _shapes(spec, m1)
     T = summand_shape.num_powers
@@ -240,70 +313,42 @@ def enumerate_base_solutions(
         )
     M = m1.value
     n = spec.n
-    S = spec.summand_base
-
-    pow_s = [pow(S, j, M) for j in range(T)]
-    pow_to_idx = {pow_s[j]: j for j in range(T)}
+    pow_s = [pow(spec.summand_base, j, M) for j in range(T)]
     power_res: list[int] = []
-    lookup: dict[int, int] = {}
     cur = 1 % M
-    for x in range(power_shape.num_powers):
+    for _ in range(power_shape.num_powers):
         power_res.append(cur)
-        lookup.setdefault(cur, x)
         cur = cur * spec.power_base % M
 
     det = summand_shape.tail_len if side_conditions else 0
-    mult = [0] * T
+    forced = 1 if side_conditions else 0
+    s, tops = _base_plan(n, T, det, forced, power_shape.num_powers)
+    right = range(s, T)
+
+    xs = list(range(power_shape.num_powers))  # one int object per x, shared by the tables
     hits: list[tuple[int, tuple[int, ...]]] = []
-
-    def prefix(j: int) -> list[int]:
-        exps = []
-        for idx in range(j):
-            exps.extend([idx] * mult[idx])
-        return exps
-
-    def last_summand(j: int, acc: int) -> None:
-        # one copy left to place at some position >= j: solve for it directly
-        hi = 1 if (side_conditions and j == 0) else T
-        if len(power_res) < hi - j:
-            for x, r in enumerate(power_res):
-                idx = pow_to_idx.get((r - acc) % M)
-                if idx is not None and j <= idx < hi:
-                    hits.append((x, tuple(prefix(j) + [idx])))
-        else:
-            for idx in range(j, hi):
-                x = lookup.get((acc + pow_s[idx]) % M)
-                if x is not None:
-                    hits.append((x, tuple(prefix(j) + [idx])))
-
-    def rec(j: int, remaining: int, acc: int) -> None:
-        if remaining == 1:
-            last_summand(j, acc)
-            return
-        if remaining == 0:
-            x = lookup.get(acc)
-            if x is not None:
-                hits.append((x, tuple(prefix(j))))
-            return
-        if j == T:
-            return
-        lo = 1 if (side_conditions and j == 0) else 0
-        if lo == 0:
-            rec(j + 1, remaining, acc)
-        cap = 1 if j < det else remaining
-        v = acc
-        p = pow_s[j]
-        for b in range(1, cap + 1):
-            if b > remaining:
-                break
-            v = (v + p) % M
-            mult[j] = b
-            rec(j + 1, remaining - b, v)
-        mult[j] = 0
-
-    rec(0, n, 0)
+    for c, r in enumerate(tops):
+        # (P^x - left sum - top sum) mod M -> (x, left, top, next entry with that key),
+        # for the left tuples of count c
+        table: dict[int, tuple] = {}
+        for left in _left_tuples(c, s, det, forced):
+            for top in combinations_with_replacement(right, r):
+                acc = sum(pow_s[i] for i in left + top)
+                for x, p in zip(xs, power_res):
+                    key = (p - acc) % M
+                    table[key] = (x, left, top, table.get(key))
+        if not table:
+            continue
+        bottoms = combinations_with_replacement(right, n - c - r)
+        sums = map(M.__rmod__, map(sum, combinations_with_replacement(pow_s[s:], n - c - r)))
+        for bottom, entry in zip(bottoms, map(table.get, sums)):
+            while entry:
+                x, left, top, entry = entry
+                # each right multiset counts once: as the bottom below its top
+                if not (bottom and top) or bottom[-1] <= top[0]:
+                    hits.append((x, left + bottom + top))
     hits.sort()
-    pows = {j: pow_s[j] for j in range(T)}
+    pows = dict(enumerate(pow_s))
     return [
         make_solution(
             x, exps, 0, spec, m1, power_shape, summand_shape, pows,
@@ -344,7 +389,7 @@ def _runs(lift_sets) -> list[tuple[Progression, int]]:
 
 def _multisets(prog: Progression, m: int) -> int:
     """Number of multisets of size m drawn from prog."""
-    return math.comb(prog.count + m - 1, m)
+    return _multiset_count(prog.count, m)
 
 
 def _choose_split(chi: int, sizes: list[int]) -> int:
@@ -715,7 +760,9 @@ def solve_chain(
             if ex is not None:
                 finals.append(ex)
 
+    t_base = time.perf_counter()
     working = enumerate_base_solutions(spec, chain[0].modulus, max_exponents=cfg.max_base_exponents)
+    report.base_seconds = time.perf_counter() - t_base
     report.base_count = len(working)
 
     with _lift_pool(cfg.workers) as pool:

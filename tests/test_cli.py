@@ -1,4 +1,5 @@
 import importlib.metadata as md
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from modchain import cli
+from modchain.chains import bundled_chain_text
 from modchain.cli import main, parse_solutions_text
 
 
@@ -27,6 +29,7 @@ def test_solve_text(capsys):
     assert code == 0
     assert out.splitlines() == ["3^4 = 2^0 + 2^4 + 2^6"]
     assert "n=3 3=sum2: 1 solution(s), settled at step 10" in err
+    assert re.search(r"\d+\.\d\ds \(base \d+\.\d\ds\)$", err.strip()), err
 
 
 def test_solve_machine_roundtrip(capsys):
@@ -150,15 +153,54 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, workers_env, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["binary.txt"]  # no stray files
 
 
+SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "sweep_solutions.py"
+
+
+def run_sweep(monkeypatch, *argv) -> int:
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    return exc.value.code
+
+
 @pytest.mark.parametrize("flag", ["--workers", "--n-max"])
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
 def test_sweep_script_rejects_non_positive(monkeypatch, capsys, flag, value):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_solutions.py"
-    monkeypatch.setattr(sys, "argv", [str(script), flag, value])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(script), run_name="__main__")
-    assert exc.value.code == 2
+    assert run_sweep(monkeypatch, flag, value) == 2
     assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--chain", "missing.chain"),
+    ("--chain", "binary.chain"),  # not UTF-8
+    ("--chain", "."),  # a directory: unreadable as a file
+    ("--chain", "bad.chain"),  # no factor lines
+    ("--chain", "m2.chain", "--direction", "2=sum3"),  # contradicts the file
+])
+def test_sweep_script_bad_chain_file(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.chain").write_bytes(b"\xff\xfe not utf-8")
+    (tmp_path / "bad.chain").write_text("direction: 3=sum2\n")
+    (tmp_path / "m2.chain").write_text(FAMILY_M2)
+    assert run_sweep(monkeypatch, *argv, "--n-max", "1") == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error:"), cap.err
+    assert "Traceback" not in cap.err
+    assert cap.out == ""
+
+
+def test_sweep_script_reads_the_report(tmp_path, monkeypatch, capsys):
+    # the chain file's direction is used, and the times come from the run report
+    (tmp_path / "t.chain").write_text(bundled_chain_text("t3.chain"))  # direction: 2=sum3
+    assert run_sweep(monkeypatch, "--chain", str(tmp_path / "t.chain"), "--n-max", "4") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["n", "count", "step", "base", "seconds", "solutions"]
+    rows = [line.split() for line in lines[2:-1]]
+    assert [row[:3] for row in rows] == [
+        ["1", "1", "1"], ["2", "1", "1"], ["3", "0", "par"], ["4", "1", "5"],
+    ]
+    assert rows[3][5] == "x=8"
+    assert all(0 <= float(row[3]) <= float(row[4]) for row in rows)
 
 
 def test_no_early_finalize_flag(capsys):

@@ -31,6 +31,7 @@ from modchain import (
 )
 from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
+from modchain.solver import _base_plan
 
 from conftest import FAMILY_FACTORS
 
@@ -171,6 +172,51 @@ def test_base_brute_agreement():
         got = {(s.x, s.exponents)
                for s in enumerate_base_solutions(SPEC3, m, side_conditions=False)}
         assert got == expected, m_val
+
+    # every direction, n = 1..6, both modes, against a filter over all multisets;
+    # the first t2 modulus at n = 7, 8 splits past the tail and tables tops there
+    rng = random.Random(7)
+    moduli = [85, 7, 24] + [rng.randrange(2, 4000) for _ in range(40)]
+    cases = [(m_val, n) for m_val in moduli for n in range(1, 7)] + [(8176, 7), (8176, 8)]
+    checked = dict.fromkeys(["tail 0", "n > T", "split past the tail", "tabled tops"], 0)
+    for m_val, n in cases:
+        m = fm(m_val)
+        for power_base, summand_base in ((3, 2), (2, 3)):
+            ps, ss = cycle_shape(power_base, m), cycle_shape(summand_base, m)
+            if ss.num_powers > 13:
+                continue
+            spec = ProblemSpec(power_base, summand_base, n)
+            for side in (True, False):
+                got = [(s.x, s.exponents)
+                       for s in enumerate_base_solutions(spec, m, side_conditions=side)]
+                assert got == sorted(set(got)), (m_val, spec, side)  # sorted, no repeats
+                assert got == brute_base(spec, m, side), (m_val, spec, side)
+                det = ss.tail_len if side else 0
+                split, tops = _base_plan(n, ss.num_powers, det, int(side), ps.num_powers)
+                checked["split past the tail"] += split > det
+                checked["tabled tops"] += split > det and any(tops)
+            checked["tail 0"] += ss.tail_len == 0
+            checked["n > T"] += n > ss.num_powers
+    assert min(checked.values()) > 0, checked
+
+
+def brute_base(spec, m, side_conditions):
+    """Sorted (x, exponents) of the base solutions, by filtering every multiset."""
+    M = m.value
+    P = cycle_shape(spec.power_base, m).num_powers
+    ss = cycle_shape(spec.summand_base, m)
+    powers = {pow(spec.power_base, x, M): x for x in range(P - 1, -1, -1)}
+    pow_s = [pow(spec.summand_base, a, M) for a in range(ss.num_powers)]
+    out = []
+    for exps in itertools.combinations_with_replacement(range(ss.num_powers), spec.n):
+        if side_conditions and (
+            exps[0] != 0 or any(a == b < ss.tail_len for a, b in zip(exps, exps[1:]))
+        ):
+            continue
+        x = powers.get(sum(pow_s[a] for a in exps) % M)
+        if x is not None:
+            out.append((x, exps))
+    return sorted(out)
 
 
 def test_base_modulus_too_large():
@@ -532,6 +578,9 @@ def test_run_report_counts(t2):
     assert [s.index for s in rep.steps] == list(range(1, rep.terminated_at + 1))
     for s in rep.steps:
         assert s.balanced + s.unbalanced <= s.incoming
+    # base enumeration is timed apart from the steps, inside the whole run
+    assert 0 <= rep.base_seconds
+    assert rep.base_seconds + sum(s.seconds for s in rep.steps) <= rep.seconds
 
 
 # ---------------------------------------------------------------------------
