@@ -9,21 +9,24 @@ Example:
 import argparse
 import sys
 
-from modchain import step_diagnostics
-from modchain.chains import bundled_chain, load_chain_file
-from modchain.cli import BUNDLED
+from modchain import ModchainError, step_diagnostics
+from modchain.cli import _load_chain
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--direction", choices=("3=sum2", "2=sum3"), default="3=sum2")
+    ap.add_argument("--direction", choices=("3=sum2", "2=sum3"),
+                    help="default: the chain file's direction, else 3=sum2")
     ap.add_argument("--chain", help="chain file (default: the bundled one)")
     args = ap.parse_args()
+    if not (args.chain or args.direction):
+        args.direction = "3=sum2"
 
-    if args.chain:
-        chain = load_chain_file(args.chain).to_chain()
-    else:
-        chain = bundled_chain(BUNDLED[args.direction])
+    try:
+        chain, _ = _load_chain(args)
+    except ModchainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{'i':>3} {'factor':<24} {'xord2':>6} {'xord3':>6} "
           f"{'+tail2':>6} {'+tail3':>6}  dlog")

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .planner import search_factors, validate_chain
 from .solver import (
+    DEFAULT_MEMORY_CAP,
     ExactSolution,
     ProblemSpec,
     SolverConfig,
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("MODCHAIN_WORKERS", "1"),
         help="worker processes for lifting (default: MODCHAIN_WORKERS or 1)",
     )
-    p_solve.add_argument("--memory-cap", type=_positive_int, default=1 << 26,
+    p_solve.add_argument("--memory-cap", type=_positive_int, default=DEFAULT_MEMORY_CAP,
                          help="max multiset entries per lift table side")
     p_solve.add_argument("--no-early-finalize", action="store_true",
                          help="settle solutions only at chain termination")

@@ -28,7 +28,6 @@ _MAX_BSGS_TABLE = 1 << 26
 class DlogResult:
     """An exponent class e = residue_class (mod class_modulus) with base^e = target."""
 
-    base_order: int
     residue_class: int
     class_modulus: int
 
@@ -124,35 +123,18 @@ class PrimeDlog:
         if z % d != 0:
             return None
         e0 = (z // d) * pow(y // d, -1, order) % order
-        return DlogResult(base_order=order, residue_class=e0, class_modulus=order)
+        return DlogResult(residue_class=e0, class_modulus=order)
 
 
 @lru_cache(maxsize=256)
-def _context(p: int) -> PrimeDlog:
-    return PrimeDlog(p)
-
-
 def prime_context(p: int) -> PrimeDlog:
-    """Shared per-prime dlog context (baby-step tables are cached inside)."""
+    """Shared per-prime dlog context (baby-step tables are cached inside).
+
+    p is checked to be an odd prime on its first call only.
+    """
     if p < 3 or not is_probable_prime(p):
         raise InvalidInput(f"{p} is not an odd prime")
-    return _context(p)
-
-
-def dlog_prime(g: int, s: int, p: int) -> int:
-    """Least z >= 0 with g^z = s mod p; g must generate (Z/pZ)*."""
-    if p == 2:
-        if s % 2 == 0:
-            raise InvalidInput("0 has no discrete log")
-        return 0
-    ctx = _context(p)
-    zs = ctx.dlog(s)
-    if g % p == ctx.generator:
-        return zs
-    zg = ctx.dlog(g % p)
-    if math.gcd(zg, p - 1) != 1:
-        raise InvalidInput(f"{g} does not generate (Z/{p}Z)*")
-    return zs * pow(zg, -1, p - 1) % (p - 1)
+    return PrimeDlog(p)
 
 
 def power_membership(b: int, s: int, p: int) -> DlogResult | None:
@@ -160,10 +142,11 @@ def power_membership(b: int, s: int, p: int) -> DlogResult | None:
     if p == 2:
         if s % 2 == 0 or b % 2 == 0:
             raise InvalidInput("arguments must be units mod 2")
-        return DlogResult(1, 0, 1)
+        return DlogResult(0, 1)
+    ctx = prime_context(p)
     if b % p == 0 or s % p == 0:
         raise InvalidInput("arguments must be units mod p")
-    return _context(p).exponent_class(b % p, s % p)
+    return ctx.exponent_class(b % p, s % p)
 
 
 def log3_mod_2u(z: int, u: int) -> DlogResult | None:
@@ -187,7 +170,7 @@ def log3_mod_2u(z: int, u: int) -> DlogResult | None:
         if pow(3, e, mod) != z % mod:
             e += 1 << (w - 3)
     order = 1 << (u - 2)
-    return DlogResult(base_order=order, residue_class=e % order, class_modulus=order)
+    return DlogResult(residue_class=e % order, class_modulus=order)
 
 
 def log2_mod_3v(z: int, v: int) -> DlogResult:
@@ -212,4 +195,4 @@ def log2_mod_3v(z: int, v: int) -> DlogResult:
         else:
             raise AssertionError("unreachable: 2 generates the units mod 3^w")
     order = 2 * 3 ** (v - 1)
-    return DlogResult(base_order=order, residue_class=e % order, class_modulus=order)
+    return DlogResult(residue_class=e % order, class_modulus=order)

@@ -122,16 +122,6 @@ class FactoredModulus:
 
 
 @dataclass(frozen=True)
-class Residue:
-    value: int
-    modulus: FactoredModulus
-
-    def __post_init__(self):
-        if not 0 <= self.value < max(self.modulus.value, 1):
-            raise InvalidInput(f"residue {self.value} out of range for modulus {self.modulus.value}")
-
-
-@dataclass(frozen=True)
 class CycleShape:
     """Tail and loop lengths of the orbit 1, b, b^2, ... in Z/MZ."""
 
@@ -149,13 +139,6 @@ class CycleShape:
         if e < self.tail_len:
             return e
         return self.tail_len + (e - self.tail_len) % self.loop_len
-
-
-def euler_phi(m: FactoredModulus) -> int:
-    out = 1
-    for p, e in m.all_prime_powers():
-        out *= p ** (e - 1) * (p - 1)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -222,22 +205,6 @@ def cycle_shape(b: int, m: FactoredModulus) -> CycleShape:
     return CycleShape(b, tail, loop)
 
 
-def is_determinate(b: int, i: int, m: FactoredModulus) -> bool:
-    """True iff b^i is a determinate power in Z/MZ, i.e. b^(i+1) divides M.
-
-    Determinate powers have a unique integer exponent mapping onto them, so a
-    modular solution exponent below the tail is pinned to one integer.
-    """
-    if i < 0:
-        raise InvalidInput("exponent must be >= 0")
-    tail = m.two_exp if b == 2 else m.three_exp
-    return i < tail
-
-
-def pow_mod(b: int, e: int, m: FactoredModulus) -> Residue:
-    return Residue(pow(b, e, m.value), m)
-
-
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     """Combine x = r1 (mod m1), x = r2 (mod m2); moduli need not be coprime.
 
@@ -262,13 +229,3 @@ def crt_ints(parts) -> tuple[int, int]:
         assert combined is not None
         r, m = combined
     return r, m
-
-
-def crt_combine(parts) -> Residue:
-    """CRT over (residue value, FactoredModulus) pairs; returns a Residue mod the product."""
-    pairs = [(v, fm.value) for v, fm in parts]
-    r, _ = crt_ints(pairs)
-    modulus = FactoredModulus.from_parts()
-    for _, fm in parts:
-        modulus = modulus * fm
-    return Residue(r, modulus)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .chains import Chain, ChainStep, fresh_prime
+from .chains import Chain, fresh_prime
 from .dlog import log2_mod_3v, log3_mod_2u
 from .errors import InvalidInput, PreconditionViolated
 from .factorint import factorize, is_probable_prime

@@ -38,6 +38,9 @@ DEFAULT_MAX_BASE_EXPONENTS = 64
 # _BASE_TABLE_CAP entries (about 150 bytes each) at once when any plan can
 _TABLE_ENTRY_WORK = 2
 _BASE_TABLE_CAP = 1 << 16
+# classes one base enumeration may return; the bundled chains need at most
+# 32,672 (2=sum3 n=22), and a raw census can run to millions
+_BASE_CLASS_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,15 +99,8 @@ class Progression:
     step: int
     count: int
 
-    def __len__(self) -> int:
-        return self.count
-
     def members(self) -> range:
         return range(self.start, self.start + self.step * self.count, self.step or 1)
-
-    @property
-    def last(self) -> int:
-        return self.start + self.step * (self.count - 1)
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,6 @@ class SolverConfig:
     workers: int = 1
     memory_cap: int = DEFAULT_MEMORY_CAP
     early_finalize: bool = True
-    max_base_exponents: int = DEFAULT_MAX_BASE_EXPONENTS
 
 
 @dataclass
@@ -303,7 +298,8 @@ def enumerate_base_solutions(
     Memory stays bounded because only one count's table is alive at a time
     and the rule only picks plans whose tables hold at most _BASE_TABLE_CAP
     entries; the plain split at s = det, which builds the smallest tables,
-    is the fallback when no plan fits.
+    is the fallback when no plan fits. MemoryBudgetExceeded is raised as soon
+    as more than _BASE_CLASS_CAP solutions are found.
     """
     power_shape, summand_shape = _shapes(spec, m1)
     T = summand_shape.num_powers
@@ -347,6 +343,10 @@ def enumerate_base_solutions(
                 # each right multiset counts once: as the bottom below its top
                 if not (bottom and top) or bottom[-1] <= top[0]:
                     hits.append((x, left + bottom + top))
+                    if len(hits) > _BASE_CLASS_CAP:
+                        raise MemoryBudgetExceeded(
+                            f"more than {_BASE_CLASS_CAP} solutions modulo {M}"
+                        )
     hits.sort()
     pows = dict(enumerate(pow_s))
     return [
@@ -761,7 +761,7 @@ def solve_chain(
                 finals.append(ex)
 
     t_base = time.perf_counter()
-    working = enumerate_base_solutions(spec, chain[0].modulus, max_exponents=cfg.max_base_exponents)
+    working = enumerate_base_solutions(spec, chain[0].modulus)
     report.base_seconds = time.perf_counter() - t_base
     report.base_count = len(working)
 
@@ -819,7 +819,7 @@ def modular_solutions(
     when config.workers > 1, like solve_chain.
     """
     cfg = config or SolverConfig()
-    working = enumerate_base_solutions(spec, chain[0].modulus, max_exponents=cfg.max_base_exponents)
+    working = enumerate_base_solutions(spec, chain[0].modulus)
     with _lift_pool(cfg.workers) as pool:
         for prev, step in zip(chain.steps, chain.steps[1:]):
             _, _, working = _lift_step(working, spec, prev, step, cfg, pool)

@@ -153,46 +153,75 @@ def test_bad_input_exit_codes(tmp_path, monkeypatch, capsys, workers_env, argv, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["binary.txt"]  # no stray files
 
 
-SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "sweep_solutions.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SWEEP = SCRIPTS / "sweep_solutions.py"
+AUDIT = SCRIPTS / "audit_orders.py"
 
 
-def run_sweep(monkeypatch, *argv) -> int:
-    monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
+def run_script(monkeypatch, script, *argv) -> int:
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
     with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(SWEEP), run_name="__main__")
+        runpy.run_path(str(script), run_name="__main__")
     return exc.value.code
 
 
 @pytest.mark.parametrize("flag", ["--workers", "--n-max"])
 @pytest.mark.parametrize("value", ["0", "-1", "two"])
 def test_sweep_script_rejects_non_positive(monkeypatch, capsys, flag, value):
-    assert run_sweep(monkeypatch, flag, value) == 2
+    assert run_script(monkeypatch, SWEEP, flag, value) == 2
     assert "expected an integer >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+BAD_CHAIN_ARGV = [
     ("--chain", "missing.chain"),
     ("--chain", "binary.chain"),  # not UTF-8
     ("--chain", "."),  # a directory: unreadable as a file
     ("--chain", "bad.chain"),  # no factor lines
     ("--chain", "m2.chain", "--direction", "2=sum3"),  # contradicts the file
-])
-def test_sweep_script_bad_chain_file(tmp_path, monkeypatch, capsys, argv):
+]
+
+
+def write_chain_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.chain").write_bytes(b"\xff\xfe not utf-8")
     (tmp_path / "bad.chain").write_text("direction: 3=sum2\n")
     (tmp_path / "m2.chain").write_text(FAMILY_M2)
-    assert run_sweep(monkeypatch, *argv, "--n-max", "1") == 2
+
+
+def assert_usage_error(capsys):
     cap = capsys.readouterr()
     assert cap.err.startswith("error:"), cap.err
     assert "Traceback" not in cap.err
     assert cap.out == ""
 
 
+@pytest.mark.parametrize("argv", BAD_CHAIN_ARGV)
+def test_sweep_script_bad_chain_file(tmp_path, monkeypatch, capsys, argv):
+    write_chain_files(tmp_path, monkeypatch)
+    assert run_script(monkeypatch, SWEEP, *argv, "--n-max", "1") == 2
+    assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv", BAD_CHAIN_ARGV)
+def test_audit_script_bad_chain_file(tmp_path, monkeypatch, capsys, argv):
+    write_chain_files(tmp_path, monkeypatch)
+    assert run_script(monkeypatch, AUDIT, *argv) == 2
+    assert_usage_error(capsys)
+
+
+def test_audit_script_reads_the_chain_file(tmp_path, monkeypatch, capsys):
+    write_chain_files(tmp_path, monkeypatch)
+    assert run_script(monkeypatch, AUDIT, "--chain", "m2.chain") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["i", "factor"]
+    assert lines[1].split()[:4] == ["1", "2^7", "*", "5"]
+    assert lines[-1] == "# final modulus: 14 bits, tail2=7 tail3=0"
+
+
 def test_sweep_script_reads_the_report(tmp_path, monkeypatch, capsys):
     # the chain file's direction is used, and the times come from the run report
     (tmp_path / "t.chain").write_text(bundled_chain_text("t3.chain"))  # direction: 2=sum3
-    assert run_sweep(monkeypatch, "--chain", str(tmp_path / "t.chain"), "--n-max", "4") == 0
+    assert run_script(monkeypatch, SWEEP, "--chain", str(tmp_path / "t.chain"), "--n-max", "4") == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split() == ["n", "count", "step", "base", "seconds", "solutions"]
     rows = [line.split() for line in lines[2:-1]]

@@ -3,16 +3,15 @@ import random
 import pytest
 
 from modchain import (
-    DlogResult,
     FactoredModulus,
     InvalidInput,
-    dlog_prime,
-    find_generator,
     log2_mod_3v,
     log3_mod_2u,
     multiplicative_order,
     power_membership,
+    prime_context,
 )
+from modchain.dlog import find_generator
 
 PRIMES = [7, 257, 439, 1753, 65537, 167772161, 9361973132609]
 
@@ -47,16 +46,17 @@ def test_dlog_prime_roundtrip():
     count = 0
     while count < 1000:
         p = rng.choice(PRIMES)
-        g = find_generator(p)
+        ctx = prime_context(p)
+        assert ctx.generator == find_generator(p)
         e = rng.randrange(p - 1)
-        s = pow(g, e, p)
-        assert dlog_prime(g, s, p) == e
+        s = pow(ctx.generator, e, p)
+        assert ctx.dlog(s) == e
         count += 1
 
 
 def test_dlog_prime_identity():
     for p in PRIMES:
-        assert dlog_prime(find_generator(p), 1, p) == 0
+        assert prime_context(p).dlog(1) == 0
 
 
 def test_dlog_big_prime_class():
@@ -79,6 +79,8 @@ def test_power_membership_examples():
     assert res.residue_class == 57
     assert power_membership(3, 1, 439).residue_class == 0
     assert power_membership(2, 5, 7) is None
+    with pytest.raises(InvalidInput):
+        power_membership(2, 4, 15)  # 15 is not prime
 
 
 def test_power_membership_brute_agreement():

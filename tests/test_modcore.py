@@ -5,20 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modchain import (
-    CycleShape,
     FactoredModulus,
     InvalidInput,
     NotCoprime,
-    Residue,
-    crt_combine,
     crt_ints,
     crt_pair,
     cycle_shape,
-    euler_phi,
-    is_determinate,
     modified_orders,
     multiplicative_order,
-    pow_mod,
 )
 from modchain.factorint import factorize
 
@@ -68,29 +62,8 @@ def test_unit_modulus_allowed_internally():
     assert multiplicative_order(2, one) == 1
 
 
-def test_residue_range_checked():
-    m = fm(6)
-    assert Residue(5, m).value == 5
-    with pytest.raises(InvalidInput):
-        Residue(6, m)
-    with pytest.raises(InvalidInput):
-        Residue(-1, m)
-
-
 # ---------------------------------------------------------------------------
-# phi and orders
-
-
-def test_phi_small_brute():
-    for n in range(1, 400):
-        expected = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-        assert euler_phi(fm(n)) == expected, n
-
-
-def test_phi_examples():
-    assert euler_phi(FactoredModulus.from_parts()) == 1
-    assert euler_phi(fm(5440)) == 2048
-    assert euler_phi(fm(439)) == 438
+# orders
 
 
 def test_order_of_three_mod_two_power():
@@ -199,29 +172,14 @@ def test_shape_loop_closes_and_is_distinct():
 
 
 def test_is_determinate():
-    m = fm(5440)
-    assert is_determinate(2, 4, m)
-    assert is_determinate(2, 5, m)
-    assert not is_determinate(2, 6, m)
-    assert not is_determinate(2, 0, fm(85))
-    assert is_determinate(3, 0, fm(9))
-    assert not is_determinate(3, 2, fm(9))
+    # b^i is determinate in Z/MZ (b^(i+1) divides M) exactly below the tail
+    assert cycle_shape(2, fm(5440)).tail_len == 6  # 2^0..2^5 pinned, 2^6 not
+    assert cycle_shape(2, fm(85)).tail_len == 0
+    assert cycle_shape(3, fm(9)).tail_len == 2  # 3^0, 3^1 pinned, 3^2 not
 
 
 # ---------------------------------------------------------------------------
-# pow_mod and CRT
-
-
-def test_pow_mod_examples():
-    assert pow_mod(2, 13, fm(5440)).value == 2752
-    assert pow_mod(7, 0, fm(5440)).value == 1
-    m = fm(10880)
-    assert pow_mod(3, 20, m).value == (2**0 + 2**4 + 2**14) % 10880
-
-
-@given(st.integers(2, 10**6), st.integers(0, 10**6), st.integers(2, 10**6))
-def test_pow_mod_matches_builtin(b, e, m_val):
-    assert pow_mod(b, e, fm(m_val)).value == pow(b, e, m_val)
+# CRT
 
 
 def test_crt_pair_basic():
@@ -248,8 +206,8 @@ def test_crt_pair_roundtrip(m1, m2, data):
 
 
 def test_crt_combine_example():
-    r = crt_combine([(1, fm(2)), (2, fm(3))])
-    assert r.value == 5 and r.modulus.value == 6
+    assert crt_ints([(1, 2), (2, 3)]) == (5, 6)
+    assert crt_ints([(1, 5), (2, 7), (3, 16)]) == (51, 560)
 
 
 def test_crt_combine_not_coprime():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,11 @@ from modchain import (
     lift_unbalanced,
     make_solution,
     modular_solutions,
-    reduce_solution,
     solve_chain,
 )
 from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
-from modchain.solver import _base_plan
+from modchain.solver import _base_plan, reduce_solution
 
 from conftest import FAMILY_FACTORS
 
@@ -107,8 +107,7 @@ def test_make_solution_checks():
 def test_progression_members():
     p = Progression(4, 16, 3)
     assert list(p.members()) == [4, 20, 36]
-    assert p.last == 36
-    assert len(p) == 3
+    assert p.count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +226,23 @@ def test_base_modulus_too_large():
     assert all(len(s.exponents) == 2 for s in sols)
 
 
+def test_base_class_cap(monkeypatch):
+    # the cap admits exactly its own count of classes: the census mod 5440 has 3
+    monkeypatch.setattr("modchain.solver._BASE_CLASS_CAP", 3)
+    assert len(enumerate_base_solutions(SPEC3, fm(5440), side_conditions=False)) == 3
+    monkeypatch.setattr("modchain.solver._BASE_CLASS_CAP", 2)
+    with pytest.raises(MemoryBudgetExceeded):
+        enumerate_base_solutions(SPEC3, fm(5440), side_conditions=False)
+    # the raw census mod 1053 at n = 6 holds millions of classes; it stops early
+    monkeypatch.setattr("modchain.solver._BASE_CLASS_CAP", 1000)
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetExceeded):
+        enumerate_base_solutions(
+            ProblemSpec(3, 2, 6), fm(1053), side_conditions=False, max_exponents=4000
+        )
+    assert time.perf_counter() - t0 < 1.0
+
+
 # ---------------------------------------------------------------------------
 # lift sets
 
@@ -270,7 +286,7 @@ def test_lift_plan_golden_family():
     sol = sol_at(ch, 1, 4, (0, 4, 6), SPEC3)
     plan = compute_lift_plan(sol, ch.steps[0], ch.steps[1], SPEC3)
     assert plan.chi == 16
-    assert len(plan.left_lifts) == 16
+    assert plan.left_lifts.count == 16
     assert [list(a.members()) for a in plan.lift_sets] == [[0], [4], [6, 14, 22]]
 
 
@@ -284,8 +300,8 @@ def test_lift_plan_golden_439():
         assert list(prog.members()) == [a, a + 73]
     assert plan.chi == 6
     assert plan.split_index == 5
-    left = plan.chi * math.prod(len(a) for a in plan.lift_sets[:5])
-    right = math.prod(len(a) for a in plan.lift_sets[5:])
+    left = plan.chi * math.prod(a.count for a in plan.lift_sets[:5])
+    right = math.prod(a.count for a in plan.lift_sets[5:])
     assert (left, right) == (192, 128)
 
 
@@ -344,7 +360,7 @@ def test_unbalanced_golden_rejects():
     sol = sol_at(ch, 1, *BASE_439, spec)
     plan = compute_lift_plan(sol, ch.steps[0], ch.steps[1], spec)
     assert plan.chi == 64123103648
-    assert all(len(a) == 1 for a in plan.lift_sets)
+    assert all(a.count == 1 for a in plan.lift_sets)
     out = lift_unbalanced(sol, plan, ch.steps[0], ch.steps[1], spec)
     assert out == []
 
@@ -410,7 +426,7 @@ def test_split_balance_is_optimal():
     spec = ProblemSpec(3, 2, 12)
     sol = sol_at(ch, 1, *BASE_439, spec)
     plan = compute_lift_plan(sol, ch.steps[0], ch.steps[1], spec)
-    sizes = [len(a) for a in plan.lift_sets]
+    sizes = [a.count for a in plan.lift_sets]
 
     def imbalance(k):
         left = plan.chi * math.prod(sizes[:k])
@@ -454,7 +470,7 @@ def test_multiset_lift_matches_ordered_lift():
         census = rng.random() < 0.5
         for sol in enumerate_base_solutions(spec, prev.modulus, side_conditions=census)[:20]:
             plan = compute_lift_plan(sol, prev, nxt, spec)
-            sizes = [len(p) for p in plan.lift_sets]
+            sizes = [p.count for p in plan.lift_sets]
             if plan.chi * math.prod(sizes) > 20000:
                 continue
             exps, k = sol.exponents, plan.split_index
@@ -486,7 +502,7 @@ def test_memory_cap_counts_multisets():
     prev, nxt = ch.steps[0], ch.steps[1]
     sol = sol_at(ch, 1, 0, (0, 4, 4), SPEC3)
     plan = compute_lift_plan(sol, prev, nxt, SPEC3)
-    assert (plan.chi, plan.split_index, [len(p) for p in plan.lift_sets]) == (4, 0, [1, 8, 8])
+    assert (plan.chi, plan.split_index, [p.count for p in plan.lift_sets]) == (4, 0, [1, 8, 8])
     want = set(ordered_lift(sol, plan, nxt, SPEC3))
     for lift in (lift_balanced, lift_unbalanced):
         got = lift(sol, plan, prev, nxt, SPEC3, memory_cap=36)
