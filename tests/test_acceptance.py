@@ -3,8 +3,6 @@ line with its runtime against the stated budget."""
 
 import time
 
-import pytest
-
 from modchain import (
     ExactSolution,
     FactoredModulus,

@@ -2,7 +2,6 @@ import pytest
 
 from modchain import (
     Chain,
-    ChainStep,
     FactoredModulus,
     InvalidInput,
     bundled_chain_text,

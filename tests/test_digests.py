@@ -1,0 +1,28 @@
+"""The solver's outputs on the bundled chains match the recorded digests.
+
+scripts/digests.py writes tests/data/digests.json and, with --check, compares
+every recorded case; this test compares the fast ones, at 1 and 2 workers.
+"""
+
+import json
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = runpy.run_path(str(ROOT / "scripts" / "digests.py"))
+RECORDED = json.loads((ROOT / "tests" / "data" / "digests.json").read_text())
+FAST = [("3=sum2", n) for n in range(1, 13)] + [("2=sum3", n) for n in range(2, 15, 2)]
+
+
+def test_recorded_cases_cover_the_fast_ones():
+    assert set(RECORDED) == {DIGESTS["case_key"](d, n) for d, n in DIGESTS["CASES"]}
+    assert set(FAST) < set(DIGESTS["CASES"])
+
+
+@pytest.mark.parametrize("direction, n", FAST)
+def test_digests_match(direction, n):
+    key = DIGESTS["case_key"](direction, n)
+    got = DIGESTS["agreed_digests"](direction, n)
+    assert got == RECORDED[key], DIGESTS["differences"](got, RECORDED[key])

@@ -1,4 +1,4 @@
-"""Every name that the package and the scripts import is used."""
+"""Every name that the package, the scripts, the tests and the benchmark import is used."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "modchain").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = [
+    *sorted((ROOT / "src" / "modchain").glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "perfbench").rglob("*.py")),
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,6 +53,8 @@ def test_detector_sees_unused_and_used_names():
     assert unused_imports(source) == ["4: b", "3: system"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix().removeprefix("src/")
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path
