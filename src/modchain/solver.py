@@ -107,16 +107,31 @@ class Progression:
 class LiftPlan:
     """How one solution lifts from a modulus to the next one.
 
-    lift_sets[j] holds the candidate new values of exponent a_j; left_lifts
-    holds the candidate new values of x. chi = len(left_lifts). split_index k
-    sends lift_sets[:k] to the left (subtracted) side of a balanced match; it
-    never separates two equal exponents, whose lift sets are one run.
+    runs holds (lift set, m) for each run of m equal exponents, in exponent
+    order; the run's new exponents are an m-multiset of its lift set. Lift
+    sets of different exponents are disjoint. left_lifts holds the candidate
+    new values of x. runs[:split] go to the left (subtracted) side of a
+    balanced match, so the split never separates equal exponents.
     """
 
-    lift_sets: tuple[Progression, ...]
+    runs: tuple[tuple[Progression, int], ...]
     left_lifts: Progression
-    chi: int
-    split_index: int
+    split: int
+
+    @property
+    def chi(self) -> int:
+        """The number of candidate new values of x."""
+        return self.left_lifts.count
+
+    @property
+    def lift_sets(self) -> tuple[Progression, ...]:
+        """The lift set of each exponent a_j, in order."""
+        return tuple(prog for prog, m in self.runs for _ in range(m))
+
+    @property
+    def split_index(self) -> int:
+        """The split as a position in lift_sets."""
+        return sum(m for _, m in self.runs[: self.split])
 
 
 @dataclass
@@ -378,20 +393,6 @@ def lift_progression(e: int, prev: CycleShape, nxt: CycleShape) -> Progression:
     return Progression(start, l0, count)
 
 
-def _runs(lift_sets) -> list[tuple[Progression, int]]:
-    """(lift set, multiplicity) for each run of equal lift sets.
-
-    Exponents are sorted, so equal exponents are adjacent, and only equal
-    exponents share a lift set (lift sets of different exponents are disjoint).
-    """
-    return [(prog, len(list(group))) for prog, group in groupby(lift_sets)]
-
-
-def _multisets(prog: Progression, m: int) -> int:
-    """Number of multisets of size m drawn from prog."""
-    return _multiset_count(prog.count, m)
-
-
 def _choose_split(chi: int, sizes: list[int]) -> int:
     """k minimizing the imbalance between chi*prod(sizes[:k]) and prod(sizes[k:]).
 
@@ -414,26 +415,29 @@ def _choose_split(chi: int, sizes: list[int]) -> int:
 
 
 def compute_lift_plan(
-    sol: SolutionModM, prev: ChainStep, nxt: ChainStep, spec: ProblemSpec
+    sol: SolutionModM,
+    prev: ChainStep,
+    nxt: ChainStep,
+    spec: ProblemSpec,
+    workspace: _StepWorkspace | None = None,
 ) -> LiftPlan:
-    """Lift sets for each exponent, the left lift set for x, and the split point.
+    """The runs of equal exponents with their lift sets, the left lift set
+    for x, and the split point.
 
     The split balances multiset counts: a run of m equal exponents whose lift
     set has s members costs C(s+m-1, m), and the split falls between runs.
     """
-    if nxt.modulus.value % prev.modulus.value != 0:
-        raise NotDivisible("previous modulus must divide the next one")
-    ps_prev, ss_prev = prev.shape(spec.power_base), prev.shape(spec.summand_base)
-    ps_next, ss_next = nxt.shape(spec.power_base), nxt.shape(spec.summand_base)
-    runs = [
-        (lift_progression(a, ss_prev, ss_next), len(list(group)))
+    ws = workspace or _StepWorkspace(spec, prev, nxt)
+    # a tuple of a list has its exact size; a tuple built from a generator is
+    # over-allocated and then shrunk, and CPython's tuple free lists keep
+    # those blocks (about 1 MB more peak RSS on 3=sum2 n=14)
+    runs = tuple([
+        (lift_progression(a, ws.prev_summand_shape, ws.summand_shape), len(list(group)))
         for a, group in groupby(sol.exponents)
-    ]
-    lift_sets = tuple(prog for prog, m in runs for _ in range(m))
-    left = lift_progression(sol.x, ps_prev, ps_next)
-    r = _choose_split(left.count, [_multisets(prog, m) for prog, m in runs])
-    k = sum(m for _, m in runs[:r])
-    return LiftPlan(lift_sets, left, left.count, k)
+    ])
+    left = lift_progression(sol.x, ws.prev_power_shape, ws.power_shape)
+    split = _choose_split(left.count, [_multiset_count(prog.count, m) for prog, m in runs])
+    return LiftPlan(runs, left, split)
 
 
 # ---------------------------------------------------------------------------
@@ -441,55 +445,53 @@ def compute_lift_plan(
 
 
 class _StepWorkspace:
-    """Per-step caches shared across all solutions being lifted to one modulus."""
+    """Everything about lifting from prev's modulus to nxt's that does not
+    depend on the solution: the shapes at both moduli, the step's fresh
+    prime (None when the dlog lift does not apply), and the powers of both
+    bases mod the next modulus, cached as lift sets ask for them."""
 
-    def __init__(self, spec: ProblemSpec, nxt: ChainStep):
+    def __init__(self, spec: ProblemSpec, prev: ChainStep, nxt: ChainStep):
+        if nxt.modulus.value % prev.modulus.value != 0:
+            raise NotDivisible("previous modulus must divide the next one")
         self.spec = spec
         self.step = nxt
         self.M = nxt.modulus.value
-        self.pow_summand: dict[int, int] = {}
-        self.pow_power: dict[int, int] = {}
+        self.prev_power_shape = prev.shape(spec.power_base)
+        self.prev_summand_shape = prev.shape(spec.summand_base)
         self.power_shape = nxt.shape(spec.power_base)
         self.summand_shape = nxt.shape(spec.summand_base)
+        self.prime = fresh_prime(prev.modulus, nxt.factor)
+        self.pows: dict[int, dict[int, int]] = {spec.power_base: {}, spec.summand_base: {}}
 
-    def _fill(self, cache: dict[int, int], base: int, prog: Progression) -> None:
+    def powers(self, base: int, prog: Progression) -> list[int]:
+        """base^e mod M for each member e of prog, through the cache."""
+        cache = self.pows[base]
         missing = [e for e in prog.members() if e not in cache]
-        if not missing:
-            return
         if len(missing) == prog.count and prog.count > 1:
             # walk the progression with one multiply per member
             v = pow(base, prog.start, self.M)
             stepmul = pow(base, prog.step, self.M)
-            e = prog.start
-            for _ in range(prog.count):
+            for e in missing:
                 cache[e] = v
                 v = v * stepmul % self.M
-                e += prog.step
         else:
             for e in missing:
                 cache[e] = pow(base, e, self.M)
+        return [cache[e] for e in prog.members()]
 
-    def summand_pows(self, prog: Progression) -> None:
-        self._fill(self.pow_summand, self.spec.summand_base, prog)
-
-    def power_pows(self, prog: Progression) -> None:
-        self._fill(self.pow_power, self.spec.power_base, prog)
-
-
-def _run_sums(
-    runs: list[tuple[Progression, int]], pows: dict[int, int], M: int
-) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-    """For each run of m equal exponents: the m-multisets of its lift set as
-    sorted tuples, and their sums of powers mod M."""
-    out = []
-    for prog, m in runs:
-        if m == 1:  # the common case, spelled out for speed
-            members = prog.members()
-            out.append(([(a,) for a in members], [pows[a] for a in members]))
-        else:
-            combos = list(combinations_with_replacement(prog.members(), m))
-            out.append((combos, [sum(map(pows.__getitem__, c)) % M for c in combos]))
-    return out
+    def run_sums(self, runs) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+        """For each run (lift set, m): the m-multisets of its lift set as
+        sorted tuples, and their sums of summand powers mod M."""
+        pows = self.pows[self.spec.summand_base]
+        out = []
+        for prog, m in runs:
+            sums = self.powers(self.spec.summand_base, prog)
+            if m == 1:  # the common case, spelled out for speed
+                out.append(([(a,) for a in prog.members()], sums))
+            else:
+                combos = list(combinations_with_replacement(prog.members(), m))
+                out.append((combos, [sum(map(pows.__getitem__, c)) % self.M for c in combos]))
+        return out
 
 
 def _cross_sums(vals: list[int], tables, M: int, sign: int) -> list[int]:
@@ -525,7 +527,8 @@ def _emit(
     if not _distinctness_ok(exps, ws.summand_shape.tail_len):
         return
     out.append(make_solution(
-        x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape, ws.pow_summand
+        x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape,
+        ws.pows[ws.spec.summand_base],
     ))
 
 
@@ -538,34 +541,27 @@ def lift_balanced(
     memory_cap: int = DEFAULT_MEMORY_CAP,
     workspace: _StepWorkspace | None = None,
 ) -> list[SolutionModM]:
-    """Meet-in-the-middle lift: match P^x' minus the first k summand lifts
-    against sums over the remaining lifts, both tabulated modulo the next modulus.
+    """Meet-in-the-middle lift: match P^x' minus the lifts of the runs before
+    plan.split against sums over the remaining runs, both tabulated modulo
+    the next modulus.
 
     Each run of equal exponents is drawn as a multiset, so every child is
     produced exactly once; memory_cap bounds the multiset entries per side.
     The tables hold values only; the exponents of the rare matches are
     decoded from their table indices.
     """
-    ws = workspace or _StepWorkspace(spec, nxt)
-    k = plan.split_index
-    if 0 < k < len(plan.lift_sets) and plan.lift_sets[k - 1] == plan.lift_sets[k]:
-        raise InvalidInput("split_index must not separate equal exponents")
-    left_runs, right_runs = _runs(plan.lift_sets[:k]), _runs(plan.lift_sets[k:])
-    left_count = plan.chi * math.prod(_multisets(*run) for run in left_runs)
-    right_count = math.prod(_multisets(*run) for run in right_runs)
+    ws = workspace or _StepWorkspace(spec, prev, nxt)
+    left_runs, right_runs = plan.runs[: plan.split], plan.runs[plan.split :]
+    left_count = plan.chi * math.prod(_multiset_count(p.count, m) for p, m in left_runs)
+    right_count = math.prod(_multiset_count(p.count, m) for p, m in right_runs)
     if max(left_count, right_count) > memory_cap:
         raise MemoryBudgetExceeded(
             f"balanced lift needs {left_count}/{right_count} entries, cap is {memory_cap}"
         )
     M = ws.M
-    ws.power_pows(plan.left_lifts)
-    for prog, _ in left_runs + right_runs:
-        ws.summand_pows(prog)
-
     xs = plan.left_lifts.members()
-    left_tables = _run_sums(left_runs, ws.pow_summand, M)
-    right_tables = _run_sums(right_runs, ws.pow_summand, M)
-    left = _cross_sums([ws.pow_power[xp] for xp in xs], left_tables, M, sign=-1)
+    left_tables, right_tables = ws.run_sums(left_runs), ws.run_sums(right_runs)
+    left = _cross_sums(ws.powers(spec.power_base, plan.left_lifts), left_tables, M, sign=-1)
     right = _cross_sums([0], right_tables, M, sign=+1)
 
     out: list[SolutionModM] = []
@@ -580,7 +576,7 @@ def lift_balanced(
         xi, head = _decode(i, left_tables)
         for j in right_at[left[i]]:
             _emit(out, xs[xi], head + _decode(j, right_tables)[1], ws, sol.modulus_index + 1)
-    return sorted(out, key=SolutionModM.sort_key)
+    return out
 
 
 def lift_unbalanced(
@@ -599,56 +595,49 @@ def lift_unbalanced(
     (Z/pZ)* and stay in the left lift progression. Useful when chi outruns
     the product of the lift set sizes.
     """
-    p = fresh_prime(prev.modulus, nxt.factor)
+    ws = workspace or _StepWorkspace(spec, prev, nxt)
+    p = ws.prime
     if p is None:
         raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
-    ws = workspace or _StepWorkspace(spec, nxt)
-    M = ws.M
-    runs = _runs(plan.lift_sets)
-    combos_count = math.prod(_multisets(*run) for run in runs)
+    combos_count = math.prod(_multiset_count(prog.count, m) for prog, m in plan.runs)
     if combos_count > memory_cap:
         raise MemoryBudgetExceeded(
             f"unbalanced lift needs {combos_count} summand combinations, cap is {memory_cap}"
         )
-    for prog, _ in runs:
-        ws.summand_pows(prog)
     ctx = prime_context(p)
     X = plan.left_lifts
     end = X.start + X.step * X.count
 
-    tables = _run_sums(runs, ws.pow_summand, M)
+    tables = ws.run_sums(plan.runs)
     out: list[SolutionModM] = []
-    for idx, s in enumerate(_cross_sums([0], tables, M, sign=+1)):
+    for idx, s in enumerate(_cross_sums([0], tables, ws.M, sign=+1)):
         sp = s % p
         if sp == 0:
             continue  # a power of the left base is a unit mod p
         cls = ctx.exponent_class(spec.power_base, sp)
         if cls is None:
             continue
-        exps = _decode(idx, tables)[1]
-        if X.count == 1:
-            if (X.start - cls.residue_class) % cls.class_modulus == 0:
-                _emit(out, X.start, exps, ws, sol.modulus_index + 1)
-            continue
         merged = crt_pair(X.start % X.step, X.step, cls.residue_class, cls.class_modulus)
         if merged is None:
             continue
         r, mod = merged
         first = X.start + (r - X.start) % mod
+        exps = _decode(idx, tables)[1]
         for xp in range(first, end, mod):
             _emit(out, xp, exps, ws, sol.modulus_index + 1)
-    return sorted(out, key=SolutionModM.sort_key)
+    return out
 
 
 def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
     spec, prev, nxt, chunk, memory_cap = args
-    ws = _StepWorkspace(spec, nxt)
-    dlog_applies = fresh_prime(prev.modulus, nxt.factor) is not None
+    ws = _StepWorkspace(spec, prev, nxt)
     unbalanced = 0
     out: list[SolutionModM] = []
     for sol in chunk:
-        plan = compute_lift_plan(sol, prev, nxt, spec)
-        if dlog_applies and plan.chi > math.prod(p.count for p in plan.lift_sets):
+        plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+        # chi against the ordered product: the multiset product would send some
+        # plans to the other lift and change StepStats.balanced/unbalanced
+        if ws.prime is not None and plan.chi > math.prod(p.count**m for p, m in plan.runs):
             unbalanced += 1
             out.extend(lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws))
         else:

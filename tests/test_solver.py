@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -310,6 +309,12 @@ def test_lift_plan_not_divisible():
     sol = sol_at(ch1, 1, 4, (0, 4, 6), SPEC3)
     with pytest.raises(NotDivisible):
         compute_lift_plan(sol, ch1.steps[0], ch2.steps[0], SPEC3)
+    # without a workspace, both lifts check the step themselves
+    ch = chain_of(5440, 2 * 257)
+    plan = compute_lift_plan(sol, ch.steps[0], ch.steps[1], SPEC3)
+    for lift in (lift_balanced, lift_unbalanced):
+        with pytest.raises(NotDivisible):
+            lift(sol, plan, ch1.steps[0], ch2.steps[0], SPEC3)
 
 
 def test_chi_three_cases():
@@ -400,7 +405,7 @@ def test_case_agreement():
     bases = [5440, 2**4 * 7 * 73, 2**5 * 3**2 * 5, 10880]
     primes = [97, 193, 241, 257, 353, 433, 577, 641, 1753]
     rng = random.Random(55)
-    instances = 0
+    instances = chi_one = 0
     for m0 in bases:
         for n in (2, 3):
             spec = ProblemSpec(3, 2, n)
@@ -416,7 +421,9 @@ def test_case_agreement():
                     key = lambda s: (s.x, s.exponents)
                     assert sorted(map(key, a)) == sorted(map(key, b)), (m0, p, sol)
                     instances += 1
-    assert instances >= 50
+                    chi_one += plan.chi == 1
+    # chi == 1 takes the same CRT path in lift_unbalanced as any other chi
+    assert instances >= 50 and chi_one >= 10, (instances, chi_one)
 
 
 def test_split_balance_is_optimal():
@@ -509,9 +516,6 @@ def test_memory_cap_counts_multisets():
         assert {(s.x, s.exponents) for s in got} == want and len(got) == len(want) == 10
         with pytest.raises(MemoryBudgetExceeded):
             lift(sol, plan, prev, nxt, SPEC3, memory_cap=35)
-    # a split inside the run would count each child once per way to share it out
-    with pytest.raises(InvalidInput):
-        lift_balanced(sol, dataclasses.replace(plan, split_index=2), prev, nxt, SPEC3)
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +681,11 @@ def test_restriction_property():
         # each child has one parent, so no step holds a class twice and no
         # identity is finalised twice
         assert len(set(finals)) == len(finals)
+        # _lift_step sorts each step's working set; the lifts do not
         for working in per_step:
             keys = [(s.x, s.exponents) for s in working]
             assert len(keys) == len(set(keys))
+            assert keys == sorted(keys)
         # per_step[i] is the working set after chain step i+1
         for i in range(1, len(per_step)):
             prev_step = ch.steps[i - 1]
