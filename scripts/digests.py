@@ -65,7 +65,7 @@ def agreed_digests(direction: str, n: int) -> dict:
     first, *rest = (case_digests(direction, n, w) for w in WORKERS)
     for w, other in zip(WORKERS[1:], rest):
         if other != first:
-            raise AssertionError(f"{case_key(direction, n)}: {w} workers differ from 1")
+            raise AssertionError(f"{case_key(direction, n)}: {w} workers differ from {WORKERS[0]}")
     return first
 
 
@@ -75,8 +75,10 @@ def differences(got: dict, want: dict | None) -> str:
         return f"not in {DIGESTS.name}"
     out = [k for k in ("stats", "report", "solutions") if got[k] != want.get(k)]
     steps = [i for i, (a, b) in enumerate(zip(got["working"], want["working"]), 1) if a != b]
-    if steps or len(got["working"]) != len(want["working"]):
-        out.append(f"working set (first at step {steps[0] if steps else 'count'})")
+    if steps:
+        out.append(f"working set (first at step {steps[0]})")
+    elif len(got["working"]) != len(want["working"]):
+        out.append("number of steps")
     return "differs in " + ", ".join(out)
 
 
@@ -96,9 +98,11 @@ def main() -> int:
         except AssertionError as exc:
             failed.append(str(exc))
             continue
+        status = "ok"
         if args.check and got[key] != want.get(key):
-            failed.append(f"{key}: {differences(got[key], want.get(key))}")
-        print(f"{key}: done", flush=True)
+            status = differences(got[key], want.get(key))
+            failed.append(f"{key}: {status}")
+        print(f"{key}: {status}", flush=True)
     for line in failed:
         print(f"FAIL {line}", file=sys.stderr)
     if failed:
