@@ -18,6 +18,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, groupby
+from typing import NamedTuple
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
@@ -99,8 +100,12 @@ class Progression:
     step: int
     count: int
 
+    def __post_init__(self):
+        if self.step < 1 or self.count < 0:
+            raise InvalidInput(f"progression needs step >= 1 and count >= 0, got {self}")
+
     def members(self) -> range:
-        return range(self.start, self.start + self.step * self.count, self.step or 1)
+        return range(self.start, self.start + self.step * self.count, self.step)
 
 
 @dataclass(frozen=True)
@@ -428,27 +433,39 @@ def compute_lift_plan(
     set has s members costs C(s+m-1, m), and the split falls between runs.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
+    facts = [ws.run(a, len(list(group))) for a, group in groupby(sol.exponents)]
+    left = ws.left_lifts(sol.x)
+    split = _choose_split(left.count, [f.multisets for f in facts])
     # a tuple of a list has its exact size; a tuple built from a generator is
     # over-allocated and then shrunk, and CPython's tuple free lists keep
     # those blocks (about 1 MB more peak RSS on 3=sum2 n=14)
-    runs = tuple([
-        (lift_progression(a, ws.prev_summand_shape, ws.summand_shape), len(list(group)))
-        for a, group in groupby(sol.exponents)
-    ])
-    left = lift_progression(sol.x, ws.prev_power_shape, ws.power_shape)
-    split = _choose_split(left.count, [_multiset_count(prog.count, m) for prog, m in runs])
-    return LiftPlan(runs, left, split)
+    return LiftPlan(tuple([f.run for f in facts]), left, split)
 
 
 # ---------------------------------------------------------------------------
 # lifting
 
 
+class _RunFacts(NamedTuple):
+    """What a step knows of a run of m equal exponents before tabling it."""
+
+    run: tuple[Progression, int]  # (lift set, m), as it stands in LiftPlan.runs
+    multisets: int  # C(s+m-1, m) for a lift set of s members
+    ordered: int  # s^m
+
+
 class _StepWorkspace:
     """Everything about lifting from prev's modulus to nxt's that does not
-    depend on the solution: the shapes at both moduli, the step's fresh
-    prime (None when the dlog lift does not apply), and the powers of both
-    bases mod the next modulus, cached as lift sets ask for them."""
+    depend on one solution: the shapes at both moduli, the step's fresh
+    prime and its dlog context (None when the dlog lift does not apply), and
+    a memo of what depends only on one run (e, m) of equal exponents or on x
+    alone, shared by every class of the step.
+
+    The memo is keyed by ints: a canonical exponent e is the start of its
+    own lift set, so (prog.start, m) finds the entry of a plan's run. Tables
+    are built only when a lift asks for them, after its memory_cap check, and
+    the memo lives exactly as long as the workspace.
+    """
 
     def __init__(self, spec: ProblemSpec, prev: ChainStep, nxt: ChainStep):
         if nxt.modulus.value % prev.modulus.value != 0:
@@ -461,36 +478,66 @@ class _StepWorkspace:
         self.power_shape = nxt.shape(spec.power_base)
         self.summand_shape = nxt.shape(spec.summand_base)
         self.prime = fresh_prime(prev.modulus, nxt.factor)
-        self.pows: dict[int, dict[int, int]] = {spec.power_base: {}, spec.summand_base: {}}
+        self.prime_dlog = None if self.prime is None else prime_context(self.prime)
+        self.pows: dict[int, int] = {}  # summand powers mod M, one lift set at a time
+        self._runs: dict[tuple[int, int], _RunFacts] = {}
+        self._tables: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[int]]] = {}
+        self._lefts: dict[int, Progression] = {}
+        self._left_powers: dict[int, list[int]] = {}
 
-    def powers(self, base: int, prog: Progression) -> list[int]:
-        """base^e mod M for each member e of prog, through the cache."""
-        cache = self.pows[base]
-        missing = [e for e in prog.members() if e not in cache]
-        if len(missing) == prog.count and prog.count > 1:
-            # walk the progression with one multiply per member
-            v = pow(base, prog.start, self.M)
-            stepmul = pow(base, prog.step, self.M)
-            for e in missing:
-                cache[e] = v
-                v = v * stepmul % self.M
-        else:
-            for e in missing:
-                cache[e] = pow(base, e, self.M)
-        return [cache[e] for e in prog.members()]
+    def run(self, e: int, m: int) -> _RunFacts:
+        """The lift set and counts of a run of m exponents equal to e."""
+        try:
+            return self._runs[e, m]
+        except KeyError:
+            prog = lift_progression(e, self.prev_summand_shape, self.summand_shape)
+            facts = _RunFacts((prog, m), _multiset_count(prog.count, m), prog.count**m)
+            self._runs[e, m] = facts
+            return facts
 
-    def run_sums(self, runs) -> list[tuple[list[tuple[int, ...]], list[int]]]:
-        """For each run (lift set, m): the m-multisets of its lift set as
-        sorted tuples, and their sums of summand powers mod M."""
-        pows = self.pows[self.spec.summand_base]
-        out = []
-        for prog, m in runs:
-            sums = self.powers(self.spec.summand_base, prog)
+    def left_lifts(self, x: int) -> Progression:
+        """The lift set of x."""
+        try:
+            return self._lefts[x]
+        except KeyError:
+            prog = self._lefts[x] = lift_progression(x, self.prev_power_shape, self.power_shape)
+            return prog
+
+    def left_powers(self, x: int) -> list[int]:
+        """power_base^x' mod M for each x' in the lift set of x."""
+        try:
+            return self._left_powers[x]
+        except KeyError:
+            vals = self._left_powers[x] = self._walk(self.spec.power_base, self.left_lifts(x))
+            return vals
+
+    def table(self, e: int, m: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The m-multisets of the lift set of e as sorted tuples, and their
+        sums of summand powers mod M."""
+        try:
+            return self._tables[e, m]
+        except KeyError:
+            prog = self.run(e, m).run[0]
+            if prog.start not in self.pows:  # lift sets are disjoint and filled whole
+                self.pows.update(zip(prog.members(), self._walk(self.spec.summand_base, prog)))
             if m == 1:  # the common case, spelled out for speed
-                out.append(([(a,) for a in prog.members()], sums))
+                combos = [(a,) for a in prog.members()]
+                table = (combos, [self.pows[a] for a in prog.members()])
             else:
                 combos = list(combinations_with_replacement(prog.members(), m))
-                out.append((combos, [sum(map(pows.__getitem__, c)) % self.M for c in combos]))
+                sums = [sum(map(self.pows.__getitem__, c)) % self.M for c in combos]
+                table = (combos, sums)
+            self._tables[e, m] = table
+            return table
+
+    def _walk(self, base: int, prog: Progression) -> list[int]:
+        """base^e mod M for each member e of prog, one multiply per member."""
+        v = pow(base, prog.start, self.M)
+        stepmul = pow(base, prog.step, self.M)
+        out = []
+        for _ in range(prog.count):
+            out.append(v)
+            v = v * stepmul % self.M
         return out
 
 
@@ -527,8 +574,7 @@ def _emit(
     if not _distinctness_ok(exps, ws.summand_shape.tail_len):
         return
     out.append(make_solution(
-        x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape,
-        ws.pows[ws.spec.summand_base],
+        x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape, ws.pows,
     ))
 
 
@@ -552,16 +598,17 @@ def lift_balanced(
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
     left_runs, right_runs = plan.runs[: plan.split], plan.runs[plan.split :]
-    left_count = plan.chi * math.prod(_multiset_count(p.count, m) for p, m in left_runs)
-    right_count = math.prod(_multiset_count(p.count, m) for p, m in right_runs)
+    left_count = plan.chi * math.prod(ws.run(p.start, m).multisets for p, m in left_runs)
+    right_count = math.prod(ws.run(p.start, m).multisets for p, m in right_runs)
     if max(left_count, right_count) > memory_cap:
         raise MemoryBudgetExceeded(
             f"balanced lift needs {left_count}/{right_count} entries, cap is {memory_cap}"
         )
     M = ws.M
     xs = plan.left_lifts.members()
-    left_tables, right_tables = ws.run_sums(left_runs), ws.run_sums(right_runs)
-    left = _cross_sums(ws.powers(spec.power_base, plan.left_lifts), left_tables, M, sign=-1)
+    left_tables = [ws.table(p.start, m) for p, m in left_runs]
+    right_tables = [ws.table(p.start, m) for p, m in right_runs]
+    left = _cross_sums(ws.left_powers(plan.left_lifts.start), left_tables, M, sign=-1)
     right = _cross_sums([0], right_tables, M, sign=+1)
 
     out: list[SolutionModM] = []
@@ -599,16 +646,16 @@ def lift_unbalanced(
     p = ws.prime
     if p is None:
         raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
-    combos_count = math.prod(_multiset_count(prog.count, m) for prog, m in plan.runs)
+    combos_count = math.prod(ws.run(prog.start, m).multisets for prog, m in plan.runs)
     if combos_count > memory_cap:
         raise MemoryBudgetExceeded(
             f"unbalanced lift needs {combos_count} summand combinations, cap is {memory_cap}"
         )
-    ctx = prime_context(p)
+    ctx = ws.prime_dlog
     X = plan.left_lifts
     end = X.start + X.step * X.count
 
-    tables = ws.run_sums(plan.runs)
+    tables = [ws.table(prog.start, m) for prog, m in plan.runs]
     out: list[SolutionModM] = []
     for idx, s in enumerate(_cross_sums([0], tables, ws.M, sign=+1)):
         sp = s % p
@@ -637,7 +684,9 @@ def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
         plan = compute_lift_plan(sol, prev, nxt, spec, ws)
         # chi against the ordered product: the multiset product would send some
         # plans to the other lift and change StepStats.balanced/unbalanced
-        if ws.prime is not None and plan.chi > math.prod(p.count**m for p, m in plan.runs):
+        if ws.prime is not None and plan.chi > math.prod(
+            ws.run(p.start, m).ordered for p, m in plan.runs
+        ):
             unbalanced += 1
             out.extend(lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws))
         else:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -30,7 +31,7 @@ from modchain import (
 )
 from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
-from modchain.solver import _base_plan, reduce_solution
+from modchain.solver import _base_plan, _StepWorkspace, reduce_solution
 
 from conftest import FAMILY_FACTORS
 
@@ -107,6 +108,12 @@ def test_progression_members():
     p = Progression(4, 16, 3)
     assert list(p.members()) == [4, 20, 36]
     assert p.count == 3
+    assert list(Progression(5, 1, 1).members()) == [5]
+    assert list(Progression(5, 3, 0).members()) == []
+    # a step below 1 would make members() disagree with count
+    for step, count in ((0, 1), (-2, 3), (1, -1)):
+        with pytest.raises(InvalidInput):
+            Progression(5, step, count)
 
 
 # ---------------------------------------------------------------------------
@@ -461,24 +468,38 @@ def ordered_lift(sol, plan, nxt, spec):
     return out
 
 
-def test_multiset_lift_matches_ordered_lift():
-    # both lift procedures enumerate each run of equal exponents as a
-    # multiset; they must emit exactly the distinct children of the ordered
-    # cross-product, each once, and split the plan between runs
-    rng = random.Random(4242)
+def tiny_lift_steps(seed):
+    """Endless random one-step chains as (prev, nxt, spec, up to 20 base
+    classes), raw censuses and side-conditioned bases mixed."""
+    rng = random.Random(seed)
     first = [8, 16, 24, 40, 48, 80, 96, 136]
     ext = [2, 3, 4, 5, 7, 9, 13, 17, 97]
-    seen = {"repeats": 0, "distinct": 0, "unbalanced": 0}
-    while min(seen.values()) < 40:
+    while True:
         m0, f = rng.choice(first), rng.choice(ext)
         ch = chain_of(m0, f)
         prev, nxt = ch.steps[0], ch.steps[1]
         spec = ProblemSpec(3, 2, rng.randrange(2, 6))
         census = rng.random() < 0.5
-        for sol in enumerate_base_solutions(spec, prev.modulus, side_conditions=census)[:20]:
+        yield prev, nxt, spec, enumerate_base_solutions(spec, prev.modulus, side_conditions=census)[:20]
+
+
+def small_plan(plan) -> bool:
+    return plan.chi * math.prod(p.count for p in plan.lift_sets) <= 20000
+
+
+def test_multiset_lift_matches_ordered_lift():
+    # both lift procedures enumerate each run of equal exponents as a
+    # multiset; they must emit exactly the distinct children of the ordered
+    # cross-product, each once, and split the plan between runs
+    seen = {"repeats": 0, "distinct": 0, "unbalanced": 0}
+    for prev, nxt, spec, sols in tiny_lift_steps(4242):
+        if min(seen.values()) >= 40:
+            break
+        m0, f = prev.modulus.value, nxt.factor.value
+        for sol in sols:
             plan = compute_lift_plan(sol, prev, nxt, spec)
             sizes = [p.count for p in plan.lift_sets]
-            if plan.chi * math.prod(sizes) > 20000:
+            if not small_plan(plan):
                 continue
             exps, k = sol.exponents, plan.split_index
             assert k in (0, len(exps)) or exps[k - 1] != exps[k], (sol, k)
@@ -516,6 +537,55 @@ def test_memory_cap_counts_multisets():
         assert {(s.x, s.exponents) for s in got} == want and len(got) == len(want) == 10
         with pytest.raises(MemoryBudgetExceeded):
             lift(sol, plan, prev, nxt, SPEC3, memory_cap=35)
+    # a warm memo cannot bypass the cap: whichever lift fills a shared
+    # workspace first, a cap-35 lift through it still raises
+    for first, second in itertools.permutations((lift_balanced, lift_unbalanced)):
+        ws = _StepWorkspace(SPEC3, prev, nxt)
+        assert len(first(sol, plan, prev, nxt, SPEC3, 36, ws)) == 10
+        for lift in (first, second):
+            with pytest.raises(MemoryBudgetExceeded):
+                lift(sol, plan, prev, nxt, SPEC3, 35, ws)
+        assert len(second(sol, plan, prev, nxt, SPEC3, 36, ws)) == 10
+
+
+def assert_shared_workspace_agrees(sols, prev, nxt, spec):
+    """Lifting every class through one workspace gives the plans and
+    children of a fresh workspace per class; returns the classes compared."""
+    ws = _StepWorkspace(spec, prev, nxt)
+    lifts = [lift_balanced] if ws.prime is None else [lift_balanced, lift_unbalanced]
+    compared = 0
+    for sol in sols:
+        plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+        assert plan == compute_lift_plan(sol, prev, nxt, spec), sol
+        if not small_plan(plan):
+            continue
+        for lift in lifts:
+            shared = lift(sol, plan, prev, nxt, spec, workspace=ws)
+            assert shared == lift(sol, plan, prev, nxt, spec), (lift.__name__, sol)
+        compared += 1
+    return compared
+
+
+def test_shared_workspace_matches_fresh_workspaces(t2):
+    # the per-step memo is keyed by (exponent, multiplicity) and x alone, so
+    # a class must lift the same whatever classes warmed the memo before it
+    compared = 0
+    for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 60):
+        compared += assert_shared_workspace_agrees(sols, prev, nxt, spec)
+    assert compared >= 300, compared
+    spec = ProblemSpec(3, 2, 8)
+    per_step = []
+    solve_chain(spec, t2, step_callback=lambda stats, working: per_step.append(working))
+    for i in (1, 2, 3):  # t2 steps 2-4, each lifting the classes left by the step before
+        assert per_step[i - 1]
+        assert assert_shared_workspace_agrees(per_step[i - 1], t2.steps[i - 1], t2.steps[i], spec)
+
+
+def test_step_workspace_dropped_with_its_step(t2):
+    # the memo lives in the workspace, so no memo outlives its step
+    solve_chain(ProblemSpec(3, 2, 8), t2)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, _StepWorkspace)]
 
 
 # ---------------------------------------------------------------------------
