@@ -1,9 +1,15 @@
-"""Discrete logarithms: generic prime-field logs plus the 2-adic and 3-adic cases.
+"""Discrete logarithms: prime-field logs inside a base's subgroup, plus the 2-adic and 3-adic cases.
 
-The generic path is Pohlig-Hellman over the factorization of p - 1 with
-baby-step giant-step inside each prime-order subgroup. Baby tables are cached
-per prime so repeated membership queries against the same modulus (the hot
-pattern in dlog-based lift steps) pay the table cost once.
+A log to base b modulo an odd prime p is found inside <b>, the subgroup that b
+generates, by Pohlig-Hellman over ord_p(b) (Pohlig & Hellman, IEEE Trans. IT
+24(1), 1978). Each prime-power part q^e of the order is solved in blocks of c
+base-q digits, q^c <= _BLOCK_TABLE, by one exponentiation and one lookup in a
+baby table of the block's q^c powers. A prime q above _BLOCK_TABLE gets one
+digit per block and a baby-step giant-step search (Shanks, 1971) over a table
+of max(_BLOCK_TABLE, ceil(sqrt q)) entries. A lookup miss means the target is
+not a power of b. The tables are built once per (prime, base) and cached in
+the prime's context, so repeated queries against the same modulus (the hot
+pattern in dlog-based lift steps) pay only the per-call exponentiations.
 
 Powers of 3 modulo 2^u and powers of 2 modulo 3^v do not need any of that:
 the unit groups are (almost) cyclic on those bases and a digit-by-digit lift
@@ -15,10 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidInput, MemoryBudgetExceeded
 from .factorint import factorize, is_probable_prime
-from .modcore import crt_ints
+
+# Largest baby table of a digit block: a block covers c base-q digits with
+# q^c <= _BLOCK_TABLE, and a prime q above it gets one digit per block and
+# giant steps. A larger bound saves exponentiations per call but costs memory
+# and set-up for every (prime, base).
+_BLOCK_TABLE = 256
 
 # Hard cap on one baby-step table; sqrt of the largest prime-order subgroup.
 _MAX_BSGS_TABLE = 1 << 26
@@ -49,86 +61,153 @@ def find_generator(p: int) -> int:
         g += 1
 
 
+class _DigitTable:
+    """Logs to base g in the subgroup <g> mod p of order n, a prime power.
+
+    The baby table holds g^j for j < m: all of <g> when n <= _BLOCK_TABLE,
+    else m = max(_BLOCK_TABLE, ceil(sqrt n)) and giant steps of g^-m cover
+    the rest.
+    """
+
+    __slots__ = ("p", "order", "baby", "giant", "steps")
+
+    def __init__(self, g: int, order: int, p: int):
+        m = order if order <= _BLOCK_TABLE else max(_BLOCK_TABLE, math.isqrt(order - 1) + 1)
+        if m > _MAX_BSGS_TABLE:
+            raise MemoryBudgetExceeded(f"baby-step table for subgroup of order {order} too large")
+        baby: dict[int, int] = {}
+        cur = 1
+        for j in range(m):
+            baby[cur] = j
+            cur = cur * g % p
+        self.p, self.order, self.baby = p, order, baby
+        self.giant = pow(cur, -1, p)
+        self.steps = -(-order // m)
+
+    def log(self, z: int) -> int | None:
+        """j in [0, order) with g^j = z, or None if z is not in <g>."""
+        j = self.baby.get(z)
+        if j is not None or self.steps == 1:
+            return j
+        p = self.p
+        if pow(z, self.order, p) != 1:
+            return None  # <g> is the only subgroup of its order
+        baby, giant = self.baby, self.giant
+        m = len(baby)
+        for i in range(1, self.steps):
+            z = z * giant % p
+            j = baby.get(z)
+            if j is not None:
+                return i * m + j
+        raise AssertionError("unreachable: z is in <g>")
+
+
+class _Block(NamedTuple):
+    """c base-q digits of a part, from digit offset o on; e is the part's exponent."""
+
+    power: int  # q^(e - o - c): maps the remainder into the block's subgroup
+    scale: int  # q^o
+    undo: int | None  # h^-(q^o), strips the block's digits off the remainder; None if last
+    table: _DigitTable
+
+
+class _Part(NamedTuple):
+    """The q^e part of ord_p(b): s^cofactor lies in <h>, h = b^cofactor, when s is in <b>."""
+
+    cofactor: int  # ord_p(b) / q^e
+    crt: int  # 1 mod q^e and 0 mod ord_p(b) / q^e
+    blocks: tuple[_Block, ...]
+
+
+class _SubgroupLog:
+    """Logs to base b mod p inside <b>, by Pohlig-Hellman over ord_p(b)."""
+
+    def __init__(self, p: int, b: int, pm1_factors: tuple[tuple[int, int], ...]):
+        self.p, self.b = p, b
+        order, order_factors = p - 1, []
+        for q, e in pm1_factors:
+            while e and pow(b, order // q, p) == 1:
+                order //= q
+                e -= 1
+            if e:
+                order_factors.append((q, e))
+        self.order = order
+        parts = []
+        for q, e in order_factors:
+            n = q**e
+            cofactor = order // n
+            h = pow(b, cofactor, p)
+            h_inv = pow(h, -1, p)
+            width = 1
+            while width < e and q ** (width + 1) <= _BLOCK_TABLE:
+                width += 1
+            tables: dict[int, _DigitTable] = {}
+            blocks = []
+            for offset in range(0, e, width):
+                w = min(width, e - offset)
+                if w not in tables:
+                    tables[w] = _DigitTable(pow(h, q ** (e - w), p), q**w, p)
+                scale = q**offset
+                undo = pow(h_inv, scale, p) if offset + w < e else None
+                blocks.append(_Block(q ** (e - offset - w), scale, undo, tables[w]))
+            parts.append(_Part(cofactor, cofactor * pow(cofactor, -1, n) % order, tuple(blocks)))
+        self.parts = tuple(parts)
+
+    def log(self, s: int) -> DlogResult | None:
+        """The class of e with b^e = s mod p, for a unit s; None if s is not in <b>.
+
+        Within a part, rest = s^cofactor * h^-y once the digits y below a
+        block are known, so rest^power is the block's digits in its table's
+        subgroup.
+        """
+        p = self.p
+        x = 0
+        for cofactor, crt, blocks in self.parts:
+            rest, digits = pow(s, cofactor, p), 0
+            for power, scale, undo, table in blocks:
+                d = table.log(pow(rest, power, p))
+                if d is None:
+                    return None
+                digits += d * scale
+                if undo is not None:
+                    rest = rest * pow(undo, d, p) % p
+            x += digits * crt
+        x %= self.order
+        if pow(self.b, x, p) != s:
+            return None
+        return DlogResult(residue_class=x, class_modulus=self.order)
+
+
 class PrimeDlog:
-    """Log machinery for one odd prime p, with subgroup tables reused across calls."""
+    """Log machinery for one odd prime p, with per-base subgroup tables reused across calls."""
 
     def __init__(self, p: int):
         if p < 3:
             raise InvalidInput("PrimeDlog needs an odd prime")
         self.p = p
-        self.pm1 = p - 1
-        self.pm1_factors = factorize(self.pm1)
+        self.pm1_factors = factorize(p - 1)
         self.generator = find_generator(p)
-        self._tables: dict[int, tuple[int, dict[int, int], int]] = {}
-        self._base_logs: dict[int, int] = {}
-
-    def _subgroup_table(self, q: int) -> tuple[int, dict[int, int], int]:
-        cached = self._tables.get(q)
-        if cached is not None:
-            return cached
-        m = math.isqrt(q - 1) + 1
-        if m > _MAX_BSGS_TABLE:
-            raise MemoryBudgetExceeded(f"baby-step table for subgroup of order {q} too large")
-        gamma = pow(self.generator, self.pm1 // q, self.p)
-        baby: dict[int, int] = {}
-        cur = 1
-        for j in range(m):
-            baby.setdefault(cur, j)
-            cur = cur * gamma % self.p
-        giant = pow(gamma, -m, self.p)
-        entry = (m, baby, giant)
-        self._tables[q] = entry
-        return entry
-
-    def _subgroup_dlog(self, t: int, q: int) -> int:
-        """Log of t with respect to the order-q subgroup generator."""
-        m, baby, giant = self._subgroup_table(q)
-        cur = t
-        for i in range(m + 1):
-            j = baby.get(cur)
-            if j is not None:
-                return (i * m + j) % q
-            cur = cur * giant % self.p
-        raise InvalidInput(f"{t} is not in the order-{q} subgroup mod {self.p}")
+        self._logs: dict[int, _SubgroupLog] = {}
 
     def dlog(self, s: int) -> int:
         """z in [0, p-1) with generator^z = s mod p."""
-        s %= self.p
-        if s == 0:
-            raise InvalidInput("0 has no discrete log")
-        parts = []
-        for q, e in self.pm1_factors:
-            x = 0
-            for j in range(e):
-                expo = self.pm1 // q ** (j + 1)
-                t = pow(s * pow(self.generator, -x, self.p) % self.p, expo, self.p)
-                x += self._subgroup_dlog(t, q) * q**j
-            parts.append((x % q**e, q**e))
-        z, _ = crt_ints(parts)
-        return z
-
-    def _log_of_base(self, b: int) -> int:
-        y = self._base_logs.get(b)
-        if y is None:
-            y = self.dlog(b)
-            self._base_logs[b] = y
-        return y
+        return self.exponent_class(self.generator, s).residue_class
 
     def exponent_class(self, b: int, s: int) -> DlogResult | None:
         """All e with b^e = s mod p, as a class mod ord_p(b); None if s is not a power of b."""
-        y = self._log_of_base(b % self.p)
-        z = self.dlog(s)
-        d = math.gcd(y, self.pm1)
-        order = self.pm1 // d
-        if z % d != 0:
-            return None
-        e0 = (z // d) * pow(y // d, -1, order) % order
-        return DlogResult(residue_class=e0, class_modulus=order)
+        b %= self.p
+        s %= self.p
+        if b == 0 or s == 0:
+            raise InvalidInput("discrete logs need units mod p")
+        log = self._logs.get(b)
+        if log is None:
+            log = self._logs[b] = _SubgroupLog(self.p, b, self.pm1_factors)
+        return log.log(s)
 
 
 @lru_cache(maxsize=256)
 def prime_context(p: int) -> PrimeDlog:
-    """Shared per-prime dlog context (baby-step tables are cached inside).
+    """Shared per-prime dlog context (the per-base baby tables are cached inside).
 
     p is checked to be an odd prime on its first call only.
     """

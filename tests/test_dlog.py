@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,12 +6,15 @@ import pytest
 from modchain import (
     FactoredModulus,
     InvalidInput,
+    MemoryBudgetExceeded,
+    PrimeDlog,
     log2_mod_3v,
     log3_mod_2u,
     multiplicative_order,
     power_membership,
     prime_context,
 )
+from modchain import dlog as dlog_module
 from modchain.dlog import find_generator
 
 PRIMES = [7, 257, 439, 1753, 65537, 167772161, 9361973132609]
@@ -101,6 +105,88 @@ def test_power_membership_brute_agreement():
                 assert res.class_modulus == len(members)
             else:
                 assert res is None, (p, s)
+
+
+def test_exponent_class_small_primes_brute():
+    # every residue of every prime 5 <= p < 400, against the enumerated powers
+    primes = [p for p in range(5, 400) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for p in primes:
+        ctx = prime_context(p)
+        for b in (2, 3):
+            order = brute_order(b, p)
+            for s in range(1, p):
+                res = ctx.exponent_class(b, s)
+                if pow(s, order, p) == 1:  # s is in <b>
+                    assert res is not None, (p, b, s)
+                    assert res.class_modulus == order
+                    assert pow(b, res.residue_class, p) == s
+                else:
+                    assert res is None, (p, b, s)
+
+
+@pytest.mark.parametrize(
+    "p, b",
+    [
+        (530713, 2),
+        (38737, 3),  # ord has the prime 269 > 256: giant steps
+        (1084521185281, 3),  # ord has a 2^22 part: several digit blocks
+        (9361973132609, 3),  # ord has the prime 105465631: a sqrt-size baby table
+    ],
+)
+def test_exponent_class_large_primes(p, b):
+    order = multiplicative_order(b, FactoredModulus.from_prime_powers(((p, 1),)))
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    for k in range(2000):
+        if k % 2:
+            e = rng.randrange(order)
+            s = pow(b, e, p)
+        else:
+            e, s = None, rng.randrange(1, p)
+        res = ctx.exponent_class(b, s)
+        if pow(s, order, p) != 1:
+            assert res is None, (p, b, s)
+            continue
+        assert res is not None, (p, b, s)
+        assert res.class_modulus == order
+        assert pow(b, res.residue_class, p) == s
+        if e is not None:
+            assert res.residue_class == e
+
+
+def test_exponent_class_errors():
+    ctx = prime_context(530713)
+    with pytest.raises(InvalidInput):
+        ctx.exponent_class(3, 0)
+    with pytest.raises(InvalidInput):
+        ctx.exponent_class(530713, 5)
+    with pytest.raises(InvalidInput):
+        ctx.dlog(0)
+
+
+def test_baby_table_cap(monkeypatch):
+    # the order-105465631 subgroup needs a baby table of ceil(sqrt) = 10270 entries
+    monkeypatch.setattr(dlog_module, "_MAX_BSGS_TABLE", 100)
+    with pytest.raises(MemoryBudgetExceeded):
+        PrimeDlog(9361973132609).dlog(5)
+
+
+def test_baby_tables_stay_small():
+    # A digit block tables at most 256 powers and a prime q > 256 at most
+    # ceil(sqrt q). The literal 256 pins the bound: a larger block table costs
+    # memory on every (prime, base) a run meets.
+    for p in (530713, 1084521185281):
+        ctx = PrimeDlog(p)
+        for b in (2, 3):
+            for s in range(1, 50):
+                ctx.exponent_class(b, pow(b, s, p))
+                ctx.exponent_class(b, s)
+        assert set(ctx._logs) == {2, 3}
+        for log in ctx._logs.values():
+            for part in log.parts:
+                for block in part.blocks:
+                    table = block.table
+                    assert len(table.baby) <= max(256, math.isqrt(table.order - 1) + 1)
 
 
 def test_log3_mod_2u_examples():
