@@ -211,7 +211,7 @@ def make_solution(
     """
     if len(exponents) != spec.n:
         raise InvalidInput(f"expected {spec.n} exponents, got {len(exponents)}")
-    if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):
+    if list(exponents) != sorted(exponents):
         raise InvalidInput("exponents must be sorted")
     if not 0 <= x < power_shape.num_powers:
         raise InvalidInput(f"x={x} outside canonical range [0, {power_shape.num_powers})")
@@ -223,7 +223,7 @@ def make_solution(
     if pows is None:
         total = sum(pow(spec.summand_base, a, M) for a in exponents) % M
     else:
-        total = sum(pows[a] for a in exponents) % M
+        total = sum(map(pows.__getitem__, exponents)) % M
     if pow(spec.power_base, x, M) != total:
         raise InvalidInput(f"congruence fails mod {M} for x={x}, exponents={exponents}")
     return SolutionModM(x, exponents, modulus_index)
@@ -401,22 +401,24 @@ def lift_progression(e: int, prev: CycleShape, nxt: CycleShape) -> Progression:
 def _choose_split(chi: int, sizes: list[int]) -> int:
     """k minimizing the imbalance between chi*prod(sizes[:k]) and prod(sizes[k:]).
 
-    Comparison is exact (cross-multiplied), ties go to the smallest k.
+    chi and the sizes are >= 1, so the left product never falls and the
+    right one never rises as k grows: the imbalance falls until the first k
+    whose left product reaches its right one and rises after it, so the best
+    k is that one or the k before it. Comparison is exact (cross-multiplied),
+    ties go to the smallest k, which steps back over sizes of 1 (they leave
+    both products unchanged).
     """
-    n = len(sizes)
-    suffix = [1] * (n + 1)
-    for i in reversed(range(n)):
-        suffix[i] = suffix[i + 1] * sizes[i]
-    left = chi
-    best = (max(left, suffix[0]), min(left, suffix[0]))
-    best_k = 0
-    for k in range(1, n + 1):
-        left *= sizes[k - 1]
-        right = suffix[k]
-        cand = (max(left, right), min(left, right))
-        if cand[0] * best[1] < best[0] * cand[1]:
-            best, best_k = cand, k
-    return best_k
+    total = math.prod(sizes)
+    k, head, before = 0, 1, 1  # head = prod(sizes[:k]), before = prod(sizes[:k-1])
+    while chi * head * head < total:  # left chi*head < right total/head
+        before, head = head, head * sizes[k]
+        k += 1
+    # the imbalance at k-1, total/(chi*before^2), against chi*head^2/total at k
+    if k and total <= chi * before * head:
+        k -= 1
+        while k and sizes[k - 1] == 1:
+            k -= 1
+    return k
 
 
 def compute_lift_plan(
@@ -464,7 +466,10 @@ class _StepWorkspace:
     The memo is keyed by ints: a canonical exponent e is the start of its
     own lift set, so (prog.start, m) finds the entry of a plan's run. Tables
     are built only when a lift asks for them, after its memory_cap check, and
-    the memo lives exactly as long as the workspace.
+    the memo lives exactly as long as the workspace. So does the last left
+    side of a balanced match, which the next class reuses when its plan has
+    the same left lift set and left runs: a step's classes come sorted by
+    (x, exponents), so such classes are neighbours.
     """
 
     def __init__(self, spec: ProblemSpec, prev: ChainStep, nxt: ChainStep):
@@ -484,6 +489,7 @@ class _StepWorkspace:
         self._tables: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[int]]] = {}
         self._lefts: dict[int, Progression] = {}
         self._left_powers: dict[int, list[int]] = {}
+        self._left_side: _LeftSide | None = None
 
     def run(self, e: int, m: int) -> _RunFacts:
         """The lift set and counts of a run of m exponents equal to e."""
@@ -530,6 +536,17 @@ class _StepWorkspace:
             self._tables[e, m] = table
             return table
 
+    def left_side(self, left_lifts: Progression, left_runs: tuple) -> _LeftSide:
+        """The left side of a balanced match over these x-lifts and runs,
+        reused from the last call when it was over the same ones."""
+        key = (left_lifts, left_runs)
+        side = self._left_side
+        if side is None or side.key != key:
+            tables = [self.table(p.start, m) for p, m in left_runs]
+            values = _cross_sums(self.left_powers(left_lifts.start), tables, self.M, sign=-1)
+            side = self._left_side = _LeftSide(key, tables, values)
+        return side
+
     def _walk(self, base: int, prog: Progression) -> list[int]:
         """base^e mod M for each member e of prog, one multiply per member."""
         v = pow(base, prog.start, self.M)
@@ -539,6 +556,30 @@ class _StepWorkspace:
             out.append(v)
             v = v * stepmul % self.M
         return out
+
+
+class _LeftSide:
+    """P^x' minus one multiset sum per left run, for every x' and choice of
+    multisets, as _cross_sums lays them out, with a set of the values for
+    probing and, built on the first match, the indices of each value."""
+
+    __slots__ = ("key", "tables", "values", "lookup", "_at")
+
+    def __init__(self, key, tables, values: list[int]):
+        self.key = key  # (left lift set of x, left runs)
+        self.tables = tables
+        self.values = values
+        self.lookup = set(values)
+        self._at: dict[int, list[int]] | None = None
+
+    def indices(self, v: int) -> list[int]:
+        """The indices of a value in values, ascending."""
+        if self._at is None:
+            at: dict[int, list[int]] = {}
+            for i, u in enumerate(self.values):
+                at.setdefault(u, []).append(i)
+            self._at = at
+        return self._at[v]
 
 
 def _cross_sums(vals: list[int], tables, M: int, sign: int) -> list[int]:
@@ -594,7 +635,9 @@ def lift_balanced(
     Each run of equal exponents is drawn as a multiset, so every child is
     produced exactly once; memory_cap bounds the multiset entries per side.
     The tables hold values only; the exponents of the rare matches are
-    decoded from their table indices.
+    decoded from their table indices. The left side comes from the
+    workspace, which keeps the last one built, so only the right side is
+    built per class and probed against it in one pass.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
     left_runs, right_runs = plan.runs[: plan.split], plan.runs[plan.split :]
@@ -604,25 +647,20 @@ def lift_balanced(
         raise MemoryBudgetExceeded(
             f"balanced lift needs {left_count}/{right_count} entries, cap is {memory_cap}"
         )
-    M = ws.M
-    xs = plan.left_lifts.members()
-    left_tables = [ws.table(p.start, m) for p, m in left_runs]
+    left = ws.left_side(plan.left_lifts, left_runs)
     right_tables = [ws.table(p.start, m) for p, m in right_runs]
-    left = _cross_sums(ws.left_powers(plan.left_lifts.start), left_tables, M, sign=-1)
-    right = _cross_sums([0], right_tables, M, sign=+1)
+    right = _cross_sums([0], right_tables, ws.M, sign=+1)
 
     out: list[SolutionModM] = []
-    small, big = sorted((left, right), key=len)
-    common = set(small).intersection(big)
-    if not common:
+    lookup = left.lookup
+    hits = [j for j, v in enumerate(right) if v in lookup]
+    if not hits:
         return out
-    right_at: dict[int, list[int]] = {}
-    for j in [j for j, v in enumerate(right) if v in common]:
-        right_at.setdefault(right[j], []).append(j)
-    for i in [i for i, v in enumerate(left) if v in common]:
-        xi, head = _decode(i, left_tables)
-        for j in right_at[left[i]]:
-            _emit(out, xs[xi], head + _decode(j, right_tables)[1], ws, sol.modulus_index + 1)
+    xs = plan.left_lifts.members()
+    # in (left index, right index) order, as a scan of the left side finds them
+    for i, j in sorted([(i, j) for j in hits for i in left.indices(right[j])]):
+        xi, head = _decode(i, left.tables)
+        _emit(out, xs[xi], head + _decode(j, right_tables)[1], ws, sol.modulus_index + 1)
     return out
 
 
@@ -655,9 +693,17 @@ def lift_unbalanced(
     X = plan.left_lifts
     end = X.start + X.step * X.count
 
-    tables = [ws.table(prog.start, m) for prog, m in plan.runs]
+    # a run with one multiset adds a constant to every sum and fixed exponents
+    start, fixed, tables = 0, (), []
+    for prog, m in plan.runs:
+        table = ws.table(prog.start, m)
+        if len(table[0]) == 1:
+            start += table[1][0]
+            fixed += table[0][0]
+        else:
+            tables.append(table)
     out: list[SolutionModM] = []
-    for idx, s in enumerate(_cross_sums([0], tables, ws.M, sign=+1)):
+    for idx, s in enumerate(_cross_sums([start % ws.M], tables, ws.M, sign=+1)):
         sp = s % p
         if sp == 0:
             continue  # a power of the left base is a unit mod p
@@ -669,7 +715,7 @@ def lift_unbalanced(
             continue
         r, mod = merged
         first = X.start + (r - X.start) % mod
-        exps = _decode(idx, tables)[1]
+        exps = fixed + _decode(idx, tables)[1]
         for xp in range(first, end, mod):
             _emit(out, xp, exps, ws, sol.modulus_index + 1)
     return out

@@ -12,6 +12,7 @@ from modchain import (
     ChainExhausted,
     FactoredModulus,
     InvalidInput,
+    LiftPlan,
     MemoryBudgetExceeded,
     NotDivisible,
     ProblemSpec,
@@ -31,7 +32,7 @@ from modchain import (
 )
 from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
-from modchain.solver import _base_plan, _StepWorkspace, reduce_solution
+from modchain.solver import _base_plan, _choose_split, _StepWorkspace, reduce_solution
 
 from conftest import FAMILY_FACTORS
 
@@ -452,6 +453,45 @@ def test_split_balance_is_optimal():
     assert all(imbalance(k) > best for k in range(plan.split_index))
 
 
+def scan_split(chi, sizes):
+    """Reference for _choose_split: every k scanned, the imbalance compared
+    exactly, the first k of least imbalance kept."""
+    suffix = [1] * (len(sizes) + 1)
+    for i in reversed(range(len(sizes))):
+        suffix[i] = suffix[i + 1] * sizes[i]
+    best = best_k = None
+    left = chi
+    for k in range(len(sizes) + 1):
+        if k:
+            left *= sizes[k - 1]
+        lo, hi = sorted((left, suffix[k]))
+        if best is None or hi * best[0] < best[1] * lo:
+            best, best_k = (lo, hi), k
+    return best_k
+
+
+def test_choose_split_matches_exhaustive_scan():
+    # the crossover rule against the scan over every k, on size pools full of
+    # 1s (plateaus) and of small numbers whose products tie exactly
+    rng = random.Random(20261018)
+    pools = [[1, 2, 3, 4, 6], [1, 1, 1, 2], [1, 2, 4, 8], list(range(1, 40)), [1, 36, 120, 5000]]
+    ties = plateaus = 0
+    for _ in range(100_000):
+        pool = rng.choice(pools)
+        sizes = [rng.choice(pool) for _ in range(rng.randrange(15))]
+        chi = rng.choice([1, 2, 3, 4, 6, 8, 12, rng.randrange(1, 10**6)])
+        k = scan_split(chi, sizes)
+        assert _choose_split(chi, sizes) == k, (chi, sizes)
+        if k == len(sizes):
+            continue
+        # k+1 is as even as k: the left side is the smaller at k and the
+        # larger at k+1 by the same ratio (a tie), or sizes[k] is 1 (a plateau)
+        left, right = chi * math.prod(sizes[:k]), math.prod(sizes[k:])
+        ties += right * (right // sizes[k]) == left * (left * sizes[k])
+        plateaus += sizes[k] == 1 and left < right
+    assert ties >= 1000 and plateaus >= 1000, (ties, plateaus)
+
+
 def ordered_lift(sol, plan, nxt, spec):
     """Every ordered choice of one lift per exponent that satisfies the
     congruence mod the next modulus, as a list with repeats (x', sorted tuple)."""
@@ -579,6 +619,49 @@ def test_shared_workspace_matches_fresh_workspaces(t2):
     for i in (1, 2, 3):  # t2 steps 2-4, each lifting the classes left by the step before
         assert per_step[i - 1]
         assert assert_shared_workspace_agrees(per_step[i - 1], t2.steps[i - 1], t2.steps[i], spec)
+
+
+def test_left_side_reuse_matches_fresh_workspaces(t2):
+    # a workspace reuses the last left side of a balanced match while the
+    # x-lifts and left runs stay the same; whatever class came before, a
+    # class must lift as it does through a fresh workspace
+    spec = ProblemSpec(3, 2, 10)
+    per_step = []
+    solve_chain(spec, t2, step_callback=lambda stats, working: per_step.append(working))
+    rng = random.Random(7)
+    other_x = other_split = 0
+    for i in (1, 2, 3):  # t2 steps 2-4
+        prev, nxt, sols = t2.steps[i - 1], t2.steps[i], per_step[i - 1]
+
+        def lifted(sol, plan, ws=None):
+            got = lift_balanced(sol, plan, prev, nxt, spec, workspace=ws)
+            assert got == lift_balanced(sol, plan, prev, nxt, spec), (sol, plan.split)
+            return got
+
+        # sorted by exponents first, neighbours share left runs under another x
+        ws, last = _StepWorkspace(spec, prev, nxt), None
+        for sol in sorted(sols, key=lambda s: (s.exponents, s.x)):
+            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+            got = lifted(sol, plan, ws)
+            if last and last[0].left_lifts != plan.left_lifts and (last[1] or got):
+                other_x += last[0].runs[: last[0].split] == plan.runs[: plan.split]
+            last = plan, got
+        # the same x and runs under another split, from a hand-built plan
+        ws = _StepWorkspace(spec, prev, nxt)
+        for sol in sols:
+            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+            split = plan.split - 1 if plan.split else plan.split + 1
+            if split > len(plan.runs) or not small_plan(plan):
+                continue
+            moved = LiftPlan(plan.runs, plan.left_lifts, split)
+            got = lifted(sol, plan, ws)
+            assert set(lifted(sol, moved, ws)) == set(got) == set(lifted(sol, plan, ws))
+            other_split += bool(got)
+        # the step's classes in shuffled order
+        shuffled = list(sols)
+        rng.shuffle(shuffled)
+        assert assert_shared_workspace_agrees(shuffled, prev, nxt, spec)
+    assert other_x >= 20 and other_split >= 20, (other_x, other_split)
 
 
 def test_step_workspace_dropped_with_its_step(t2):
