@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, groupby
-from typing import NamedTuple
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
@@ -137,6 +137,17 @@ class LiftPlan:
     def split_index(self) -> int:
         """The split as a position in lift_sets."""
         return sum(m for _, m in self.runs[: self.split])
+
+    @cached_property
+    def _sizes(self) -> tuple[int, int, int]:
+        """(ordered, left, right) from this plan's runs and split: left and right
+        are the multiset entries of a balanced match's tables, chi counted on
+        the left. ordered, the product of the lift-set sizes, is what chi is
+        weighed against to choose the lift: the multiset product would move some
+        plans to the other lift, and so change StepStats and the digests."""
+        counts = [math.comb(p.count + m - 1, m) for p, m in self.runs]
+        left, right = math.prod(counts[: self.split]), math.prod(counts[self.split :])
+        return math.prod([p.count**m for p, m in self.runs]), self.chi * left, right
 
 
 @dataclass
@@ -435,25 +446,17 @@ def compute_lift_plan(
     set has s members costs C(s+m-1, m), and the split falls between runs.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
-    facts = [ws.run(a, len(list(group))) for a, group in groupby(sol.exponents)]
+    runs = [ws.run(a, len(list(group))) for a, group in groupby(sol.exponents)]
     left = ws.left_lifts(sol.x)
-    split = _choose_split(left.count, [f.multisets for f in facts])
+    split = _choose_split(left.count, [count for _, count in runs])
     # a tuple of a list has its exact size; a tuple built from a generator is
     # over-allocated and then shrunk, and CPython's tuple free lists keep
     # those blocks (about 1 MB more peak RSS on 3=sum2 n=14)
-    return LiftPlan(tuple([f.run for f in facts]), left, split)
+    return LiftPlan(tuple([run for run, _ in runs]), left, split)
 
 
 # ---------------------------------------------------------------------------
 # lifting
-
-
-class _RunFacts(NamedTuple):
-    """What a step knows of a run of m equal exponents before tabling it."""
-
-    run: tuple[Progression, int]  # (lift set, m), as it stands in LiftPlan.runs
-    multisets: int  # C(s+m-1, m) for a lift set of s members
-    ordered: int  # s^m
 
 
 class _StepWorkspace:
@@ -485,20 +488,19 @@ class _StepWorkspace:
         self.prime = fresh_prime(prev.modulus, nxt.factor)
         self.prime_dlog = None if self.prime is None else prime_context(self.prime)
         self.pows: dict[int, int] = {}  # summand powers mod M, one lift set at a time
-        self._runs: dict[tuple[int, int], _RunFacts] = {}
+        self._runs: dict[tuple[int, int], tuple[tuple[Progression, int], int]] = {}
         self._tables: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[int]]] = {}
         self._lefts: dict[int, Progression] = {}
         self._left_powers: dict[int, list[int]] = {}
         self._left_side: _LeftSide | None = None
 
-    def run(self, e: int, m: int) -> _RunFacts:
-        """The lift set and counts of a run of m exponents equal to e."""
+    def run(self, e: int, m: int) -> tuple[tuple[Progression, int], int]:
+        """(the run (lift set, m), its multiset count) of m exponents equal to e."""
         try:
             return self._runs[e, m]
         except KeyError:
             prog = lift_progression(e, self.prev_summand_shape, self.summand_shape)
-            facts = _RunFacts((prog, m), _multiset_count(prog.count, m), prog.count**m)
-            self._runs[e, m] = facts
+            facts = self._runs[e, m] = ((prog, m), _multiset_count(prog.count, m))
             return facts
 
     def left_lifts(self, x: int) -> Progression:
@@ -523,7 +525,7 @@ class _StepWorkspace:
         try:
             return self._tables[e, m]
         except KeyError:
-            prog = self.run(e, m).run[0]
+            (prog, _), _ = self.run(e, m)
             if prog.start not in self.pows:  # lift sets are disjoint and filled whole
                 self.pows.update(zip(prog.members(), self._walk(self.spec.summand_base, prog)))
             if m == 1:  # the common case, spelled out for speed
@@ -640,15 +642,13 @@ def lift_balanced(
     built per class and probed against it in one pass.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
-    left_runs, right_runs = plan.runs[: plan.split], plan.runs[plan.split :]
-    left_count = plan.chi * math.prod(ws.run(p.start, m).multisets for p, m in left_runs)
-    right_count = math.prod(ws.run(p.start, m).multisets for p, m in right_runs)
+    _, left_count, right_count = plan._sizes
     if max(left_count, right_count) > memory_cap:
         raise MemoryBudgetExceeded(
             f"balanced lift needs {left_count}/{right_count} entries, cap is {memory_cap}"
         )
-    left = ws.left_side(plan.left_lifts, left_runs)
-    right_tables = [ws.table(p.start, m) for p, m in right_runs]
+    left = ws.left_side(plan.left_lifts, plan.runs[: plan.split])
+    right_tables = [ws.table(p.start, m) for p, m in plan.runs[plan.split :]]
     right = _cross_sums([0], right_tables, ws.M, sign=+1)
 
     out: list[SolutionModM] = []
@@ -657,10 +657,11 @@ def lift_balanced(
     if not hits:
         return out
     xs = plan.left_lifts.members()
-    # in (left index, right index) order, as a scan of the left side finds them
-    for i, j in sorted([(i, j) for j in hits for i in left.indices(right[j])]):
-        xi, head = _decode(i, left.tables)
-        _emit(out, xs[xi], head + _decode(j, right_tables)[1], ws, sol.modulus_index + 1)
+    for j in hits:
+        tail = _decode(j, right_tables)[1]
+        for i in left.indices(right[j]):
+            xi, head = _decode(i, left.tables)
+            _emit(out, xs[xi], head + tail, ws, sol.modulus_index + 1)
     return out
 
 
@@ -684,7 +685,9 @@ def lift_unbalanced(
     p = ws.prime
     if p is None:
         raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
-    combos_count = math.prod(ws.run(prog.start, m).multisets for prog, m in plan.runs)
+    # every run's multisets, as on the right of a balanced match split at 0;
+    # _lift_chunk sends only plans whose chi outruns them, which split at 0
+    combos_count = (plan if not plan.split else replace(plan, split=0))._sizes[2]
     if combos_count > memory_cap:
         raise MemoryBudgetExceeded(
             f"unbalanced lift needs {combos_count} summand combinations, cap is {memory_cap}"
@@ -728,11 +731,7 @@ def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
     out: list[SolutionModM] = []
     for sol in chunk:
         plan = compute_lift_plan(sol, prev, nxt, spec, ws)
-        # chi against the ordered product: the multiset product would send some
-        # plans to the other lift and change StepStats.balanced/unbalanced
-        if ws.prime is not None and plan.chi > math.prod(
-            ws.run(p.start, m).ordered for p, m in plan.runs
-        ):
+        if ws.prime is not None and plan.chi > plan._sizes[0]:
             unbalanced += 1
             out.extend(lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws))
         else:

@@ -1,4 +1,5 @@
-"""Every name that the package, the scripts, the tests and the benchmark import is used."""
+"""Every name that the package, the scripts, the tests and the benchmark import
+is used, and every private module-level name of the package is read in it."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "modchain").glob("*.py"))
 SOURCES = [
-    *sorted((ROOT / "src" / "modchain").glob("*.py")),
+    *PACKAGE,
     *sorted((ROOT / "scripts").glob("*.py")),
     *sorted((ROOT / "tests").glob("*.py")),
     *sorted((ROOT / "perfbench").rglob("*.py")),
@@ -51,6 +53,49 @@ def test_detector_sees_unused_and_used_names():
         "    return os.getcwd()\n"
     )
     assert unused_imports(source) == ["4: b", "3: system"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """'module: name' for each module-level _name (not a dunder) that no
+    module reads: as a loaded name, an attribute or an imported name."""
+    defined: list[tuple[str, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                top = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in top for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in targets
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_private_name_detector_sees_unread_and_read_names():
+    sources = {
+        "a": (
+            "_CAP = 1\n_unused, _pair = 2, 3\n_typed: int = 4\n__all__ = []\n"
+            "class _Old: pass\ndef _f(): return _CAP + _pair\n"
+        ),
+        "b": "from .a import _f\nimport a\na._typed\n",
+    }
+    assert unread_private_names(sources) == ["a: _unused", "a: _Old"]
+
+
+def test_no_unread_private_names():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_private_names(sources) == []
 
 
 @pytest.mark.parametrize(

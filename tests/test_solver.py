@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -32,7 +33,13 @@ from modchain import (
 )
 from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
-from modchain.solver import _base_plan, _choose_split, _StepWorkspace, reduce_solution
+from modchain.solver import (
+    _base_plan,
+    _choose_split,
+    _multiset_count,
+    _StepWorkspace,
+    reduce_solution,
+)
 
 from conftest import FAMILY_FACTORS
 
@@ -572,20 +579,48 @@ def test_memory_cap_counts_multisets():
     plan = compute_lift_plan(sol, prev, nxt, SPEC3)
     assert (plan.chi, plan.split_index, [p.count for p in plan.lift_sets]) == (4, 0, [1, 8, 8])
     want = set(ordered_lift(sol, plan, nxt, SPEC3))
-    for lift in (lift_balanced, lift_unbalanced):
-        got = lift(sol, plan, prev, nxt, SPEC3, memory_cap=36)
-        assert {(s.x, s.exponents) for s in got} == want and len(got) == len(want) == 10
-        with pytest.raises(MemoryBudgetExceeded):
-            lift(sol, plan, prev, nxt, SPEC3, memory_cap=35)
-    # a warm memo cannot bypass the cap: whichever lift fills a shared
-    # workspace first, a cap-35 lift through it still raises
-    for first, second in itertools.permutations((lift_balanced, lift_unbalanced)):
-        ws = _StepWorkspace(SPEC3, prev, nxt)
-        assert len(first(sol, plan, prev, nxt, SPEC3, 36, ws)) == 10
-        for lift in (first, second):
+    # a hand-built plan split after both runs tables 4 * 36 = 144 entries on
+    # the left; the dlog lift tables the 36 multisets whatever the split
+    moved = LiftPlan(plan.runs, plan.left_lifts, 2)
+    for p, caps in ((plan, {lift_balanced: 36, lift_unbalanced: 36}),
+                    (moved, {lift_balanced: 144, lift_unbalanced: 36})):
+        for lift, cap in caps.items():
+            got = lift(sol, p, prev, nxt, SPEC3, memory_cap=cap)
+            assert {(s.x, s.exponents) for s in got} == want and len(got) == len(want) == 10
             with pytest.raises(MemoryBudgetExceeded):
-                lift(sol, plan, prev, nxt, SPEC3, 35, ws)
-        assert len(second(sol, plan, prev, nxt, SPEC3, 36, ws)) == 10
+                lift(sol, p, prev, nxt, SPEC3, memory_cap=cap - 1)
+        # a warm memo cannot bypass the cap: whichever lift fills a shared
+        # workspace first, a lift one below its cap through it still raises
+        for first, second in itertools.permutations(caps):
+            ws = _StepWorkspace(SPEC3, prev, nxt)
+            assert len(first(sol, p, prev, nxt, SPEC3, caps[first], ws)) == 10
+            for lift in (first, second):
+                with pytest.raises(MemoryBudgetExceeded):
+                    lift(sol, p, prev, nxt, SPEC3, caps[lift] - 1, ws)
+            assert len(second(sol, p, prev, nxt, SPEC3, caps[second], ws)) == 10
+
+
+def test_plan_sizes_follow_the_plans_own_split():
+    # the ordered product and both table sizes come from a plan's own runs
+    # and split: at every legal split, whether compute_lift_plan, LiftPlan
+    # or dataclasses.replace built the plan, they equal a brute-force count
+    plans = moved = 0
+    for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 40):
+        for sol in sols:
+            plan = compute_lift_plan(sol, prev, nxt, spec)
+            ordered = math.prod(p.count for p in plan.lift_sets)
+            counts = [_multiset_count(p.count, m) for p, m in plan.runs]
+            sizes = {k: (ordered, plan.chi * math.prod(counts[:k]), math.prod(counts[k:]))
+                     for k in range(len(plan.runs) + 1)}
+            for k, want in sizes.items():
+                assert LiftPlan(plan.runs, plan.left_lifts, k)._sizes == want, (sol, k)
+                assert dataclasses.replace(plan, split=k)._sizes == want, (sol, k)
+                moved += want != sizes[plan.split]
+            assert plan._sizes == sizes[plan.split], sol
+            # a plan chi outruns, which _lift_chunk sends to the dlog lift, splits at 0
+            assert plan.chi <= ordered or plan.split == 0, sol
+            plans += 1
+    assert plans >= 300 and moved >= 300, (plans, moved)
 
 
 def assert_shared_workspace_agrees(sols, prev, nxt, spec):
