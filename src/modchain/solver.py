@@ -17,8 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
@@ -138,16 +137,22 @@ class LiftPlan:
         """The split as a position in lift_sets."""
         return sum(m for _, m in self.runs[: self.split])
 
-    @cached_property
+    @property
     def _sizes(self) -> tuple[int, int, int]:
         """(ordered, left, right) from this plan's runs and split: left and right
         are the multiset entries of a balanced match's tables, chi counted on
         the left. ordered, the product of the lift-set sizes, is what chi is
         weighed against to choose the lift: the multiset product would move some
         plans to the other lift, and so change StepStats and the digests."""
-        counts = [math.comb(p.count + m - 1, m) for p, m in self.runs]
-        left, right = math.prod(counts[: self.split]), math.prod(counts[self.split :])
-        return math.prod([p.count**m for p, m in self.runs]), self.chi * left, right
+        ordered, counts = 1, []
+        for p, m in self.runs:
+            if m == 1:  # most runs: both counts are the lift set's size
+                ordered *= p.count
+                counts.append(p.count)
+            else:
+                ordered *= p.count**m
+                counts.append(math.comb(p.count + m - 1, m))
+        return ordered, self.chi * math.prod(counts[: self.split]), math.prod(counts[self.split :])
 
 
 @dataclass
@@ -446,7 +451,14 @@ def compute_lift_plan(
     set has s members costs C(s+m-1, m), and the split falls between runs.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
-    runs = [ws.run(a, len(list(group))) for a, group in groupby(sol.exponents)]
+    exps, memo = sol.exponents, ws._runs
+    runs, i, n = [], 0, len(exps)
+    while i < n:
+        a, j = exps[i], i + 1
+        while j < n and exps[j] == a:
+            j += 1
+        runs.append(memo.get(a if j == i + 1 else (a, j - i)) or ws.run(a, j - i))
+        i = j
     left = ws.left_lifts(sol.x)
     split = _choose_split(left.count, [count for _, count in runs])
     # a tuple of a list has its exact size; a tuple built from a generator is
@@ -467,7 +479,8 @@ class _StepWorkspace:
     alone, shared by every class of the step.
 
     The memo is keyed by ints: a canonical exponent e is the start of its
-    own lift set, so (prog.start, m) finds the entry of a plan's run. Tables
+    own lift set, so (prog.start, m) finds the entry of a plan's run, and a
+    run of one exponent, the common case, is found under e alone. Tables
     are built only when a lift asks for them, after its memory_cap check, and
     the memo lives exactly as long as the workspace. So does the last left
     side of a balanced match, which the next class reuses when its plan has
@@ -487,8 +500,8 @@ class _StepWorkspace:
         self.summand_shape = nxt.shape(spec.summand_base)
         self.prime = fresh_prime(prev.modulus, nxt.factor)
         self.prime_dlog = None if self.prime is None else prime_context(self.prime)
-        self.pows: dict[int, int] = {}  # summand powers mod M, one lift set at a time
-        self._runs: dict[tuple[int, int], tuple[tuple[Progression, int], int]] = {}
+        self.pows = _Powers(spec.summand_base, self.M)
+        self._runs: dict[int | tuple[int, int], tuple[tuple[Progression, int], int]] = {}
         self._tables: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[int]]] = {}
         self._lefts: dict[int, Progression] = {}
         self._left_powers: dict[int, list[int]] = {}
@@ -496,11 +509,12 @@ class _StepWorkspace:
 
     def run(self, e: int, m: int) -> tuple[tuple[Progression, int], int]:
         """(the run (lift set, m), its multiset count) of m exponents equal to e."""
+        key = e if m == 1 else (e, m)
         try:
-            return self._runs[e, m]
+            return self._runs[key]
         except KeyError:
             prog = lift_progression(e, self.prev_summand_shape, self.summand_shape)
-            facts = self._runs[e, m] = ((prog, m), _multiset_count(prog.count, m))
+            facts = self._runs[key] = ((prog, m), _multiset_count(prog.count, m))
             return facts
 
     def left_lifts(self, x: int) -> Progression:
@@ -526,11 +540,12 @@ class _StepWorkspace:
             return self._tables[e, m]
         except KeyError:
             (prog, _), _ = self.run(e, m)
-            if prog.start not in self.pows:  # lift sets are disjoint and filled whole
+            # lift sets are disjoint and filled whole (a miss fills only a one-member one)
+            if prog.start not in self.pows:
                 self.pows.update(zip(prog.members(), self._walk(self.spec.summand_base, prog)))
             if m == 1:  # the common case, spelled out for speed
                 combos = [(a,) for a in prog.members()]
-                table = (combos, [self.pows[a] for a in prog.members()])
+                table = (combos, list(map(self.pows.__getitem__, prog.members())))
             else:
                 combos = list(combinations_with_replacement(prog.members(), m))
                 sums = [sum(map(self.pows.__getitem__, c)) % self.M for c in combos]
@@ -558,6 +573,22 @@ class _StepWorkspace:
             out.append(v)
             v = v * stepmul % self.M
         return out
+
+
+class _Powers(dict):
+    """Summand powers mod M by exponent. table() fills a lift set at a time,
+    one multiply per member; a lookup that misses, the exponent of a pinned
+    class (whose lift set is itself), computes its one power."""
+
+    __slots__ = ("base", "M")
+
+    def __init__(self, base: int, M: int):
+        super().__init__()
+        self.base, self.M = base, M
+
+    def __missing__(self, e: int) -> int:
+        v = self[e] = pow(self.base, e, self.M)
+        return v
 
 
 class _LeftSide:
@@ -606,6 +637,18 @@ def _decode(index: int, tables) -> tuple[int, tuple[int, ...]]:
     return index, exps
 
 
+def _right_side(sol: SolutionModM, plan: LiftPlan, ordered: int, ws: _StepWorkspace):
+    """(sums, tables, shared exponents) over the runs from plan.split on: the
+    sum mod M of every choice of one multiset per run, as _cross_sums lays
+    them out, and the exponents that every choice adds to _decode's. A
+    pinned plan (ordered == 1: every lift set has one member) split at 0 has
+    one sum and no table, and its children keep its exponents."""
+    if ordered == 1 and not plan.split:
+        return [sum(map(ws.pows.__getitem__, sol.exponents)) % ws.M], [], sol.exponents
+    tables = [ws.table(prog.start, m) for prog, m in plan.runs[plan.split :]]
+    return _cross_sums([0], tables, ws.M, sign=+1), tables, ()
+
+
 def _emit(
     out: list[SolutionModM],
     x: int,
@@ -639,29 +682,31 @@ def lift_balanced(
     The tables hold values only; the exponents of the rare matches are
     decoded from their table indices. The left side comes from the
     workspace, which keeps the last one built, so only the right side is
-    built per class and probed against it in one pass.
+    built per class and probed against it, first in C for any match at all.
+    A pinned plan (every lift set has one member) has no right table: its
+    one summand sum is probed against the x-lifts alone, and its children
+    keep its exponents.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
-    _, left_count, right_count = plan._sizes
+    ordered, left_count, right_count = plan._sizes
     if max(left_count, right_count) > memory_cap:
         raise MemoryBudgetExceeded(
             f"balanced lift needs {left_count}/{right_count} entries, cap is {memory_cap}"
         )
     left = ws.left_side(plan.left_lifts, plan.runs[: plan.split])
-    right_tables = [ws.table(p.start, m) for p, m in plan.runs[plan.split :]]
-    right = _cross_sums([0], right_tables, ws.M, sign=+1)
+    right, right_tables, fixed = _right_side(sol, plan, ordered, ws)
 
     out: list[SolutionModM] = []
     lookup = left.lookup
-    hits = [j for j, v in enumerate(right) if v in lookup]
-    if not hits:
+    if lookup.isdisjoint(right):
         return out
     xs = plan.left_lifts.members()
-    for j in hits:
-        tail = _decode(j, right_tables)[1]
-        for i in left.indices(right[j]):
-            xi, head = _decode(i, left.tables)
-            _emit(out, xs[xi], head + tail, ws, sol.modulus_index + 1)
+    for j, v in enumerate(right):
+        if v in lookup:
+            tail = fixed + _decode(j, right_tables)[1]
+            for i in left.indices(v):
+                xi, head = _decode(i, left.tables)
+                _emit(out, xs[xi], head + tail, ws, sol.modulus_index + 1)
     return out
 
 
@@ -679,7 +724,8 @@ def lift_unbalanced(
     For each multiset of summand lifts with sum s, the admissible x' form
     (possibly empty) congruence classes: x' must hit the dlog class of s in
     (Z/pZ)* and stay in the left lift progression. Useful when chi outruns
-    the product of the lift set sizes.
+    the product of the lift set sizes. A pinned plan (every lift set has one
+    member) has one sum, and its children keep its exponents.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
     p = ws.prime
@@ -687,7 +733,8 @@ def lift_unbalanced(
         raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
     # every run's multisets, as on the right of a balanced match split at 0;
     # _lift_chunk sends only plans whose chi outruns them, which split at 0
-    combos_count = (plan if not plan.split else replace(plan, split=0))._sizes[2]
+    whole = plan if not plan.split else replace(plan, split=0)
+    ordered, _, combos_count = whole._sizes
     if combos_count > memory_cap:
         raise MemoryBudgetExceeded(
             f"unbalanced lift needs {combos_count} summand combinations, cap is {memory_cap}"
@@ -696,17 +743,9 @@ def lift_unbalanced(
     X = plan.left_lifts
     end = X.start + X.step * X.count
 
-    # a run with one multiset adds a constant to every sum and fixed exponents
-    start, fixed, tables = 0, (), []
-    for prog, m in plan.runs:
-        table = ws.table(prog.start, m)
-        if len(table[0]) == 1:
-            start += table[1][0]
-            fixed += table[0][0]
-        else:
-            tables.append(table)
+    sums, tables, fixed = _right_side(sol, whole, ordered, ws)
     out: list[SolutionModM] = []
-    for idx, s in enumerate(_cross_sums([start % ws.M], tables, ws.M, sign=+1)):
+    for idx, s in enumerate(sums):
         sp = s % p
         if sp == 0:
             continue  # a power of the left base is a unit mod p

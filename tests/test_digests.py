@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = runpy.run_path(str(ROOT / "scripts" / "digests.py"))
 RECORDED = json.loads((ROOT / "tests" / "data" / "digests.json").read_text())
-FAST = [("3=sum2", n) for n in range(1, 15)] + [("2=sum3", n) for n in range(2, 15, 2)]
+FAST = [("3=sum2", n) for n in range(1, 15)] + [("2=sum3", n) for n in range(2, 17, 2)]
 
 
 def test_recorded_cases_cover_the_fast_ones():

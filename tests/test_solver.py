@@ -34,8 +34,11 @@ from modchain import (
 from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
 from modchain.solver import (
+    DEFAULT_MEMORY_CAP,
     _base_plan,
     _choose_split,
+    _cross_sums,
+    _lift_chunk,
     _multiset_count,
     _StepWorkspace,
     reduce_solution,
@@ -704,6 +707,94 @@ def test_step_workspace_dropped_with_its_step(t2):
     solve_chain(ProblemSpec(3, 2, 8), t2)
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, _StepWorkspace)]
+
+
+def brute_lift(sol, prev, nxt, spec):
+    """(children, choices the distinctness rule rejects) of a class, from
+    every x' in the lift set of x and every choice of one lift per exponent,
+    kept when the congruence mod the next modulus holds."""
+    M = nxt.modulus.value
+    tail = nxt.shape(spec.summand_base).tail_len
+    xs = {}
+    for xp in lift_progression(sol.x, prev.shape(spec.power_base), nxt.shape(spec.power_base)).members():
+        xs.setdefault(pow(spec.power_base, xp, M), []).append(xp)
+    lift_sets = [lift_progression(a, prev.shape(spec.summand_base), nxt.shape(spec.summand_base))
+                 for a in sol.exponents]
+    children, rejected = set(), 0
+    for exps in itertools.product(*(p.members() for p in lift_sets)):
+        t = tuple(sorted(exps))
+        for xp in xs.get(sum(pow(spec.summand_base, a, M) for a in t) % M, ()):
+            if any(a == b < tail for a, b in zip(t, t[1:])):
+                rejected += 1
+            else:
+                children.add((xp, t))
+    return children, rejected
+
+
+def live_classes(spec, chain):
+    """The classes each step of a solve leaves to the next, by step index."""
+    per_step = {}
+    solve_chain(spec, chain, step_callback=lambda stats, working: per_step.update({stats.index: working}))
+    return per_step
+
+
+def assert_lifts_as_brute_force(sols, prev, nxt, spec):
+    """_lift_chunk lifts these classes to their brute-force children, each
+    once, through one workspace and, for a pinned class (every lift set has
+    one member), through a fresh one per class. Returns (pinned classes,
+    choices the distinctness rule rejected from them)."""
+    ws = _StepWorkspace(spec, prev, nxt)
+    pinned = rejected = 0
+    want = []
+    for sol in sols:
+        children, r = brute_lift(sol, prev, nxt, spec)
+        if compute_lift_plan(sol, prev, nxt, spec, ws)._sizes[0] == 1:
+            pinned += 1
+            rejected += r
+            alone = _lift_chunk((spec, prev, nxt, [sol], DEFAULT_MEMORY_CAP))[2]
+            assert sorted((c.x, c.exponents) for c in alone) == sorted(children), sol
+        want += children
+    got = _lift_chunk((spec, prev, nxt, sols, DEFAULT_MEMORY_CAP))[2]
+    assert sorted((c.x, c.exponents) for c in got) == sorted(want)
+    return pinned, rejected
+
+
+@pytest.mark.parametrize("direction, n, chain, steps, min_pinned", [
+    ("2=sum3", 10, "t3", (4,), 4),
+    ("2=sum3", 12, "t3", (4,), 29),
+    # steps 5, 7 and 9 are pinned whole, steps 6 and 10 in part
+    ("3=sum2", 10, "t2", (5, 6, 7, 9, 10), 500),
+])
+def test_pinned_classes_lift_as_brute_force(direction, n, chain, steps, min_pinned, request):
+    # a pinned class lifts by one summand sum, and its children keep its exponents
+    ch, spec = request.getfixturevalue(chain), ProblemSpec.from_direction(direction, n)
+    per_step = live_classes(spec, ch)
+    pinned = 0
+    for i in steps:
+        pinned += assert_lifts_as_brute_force(per_step[i - 1], ch.steps[i - 2], ch.steps[i - 1], spec)[0]
+    assert pinned >= min_pinned, pinned
+
+
+def test_pinned_census_classes_lift_as_brute_force():
+    # no pinned child of the bundled chains repeats a determinate exponent,
+    # but census classes with repeats do: the distinctness rule must reject them
+    pinned = rejected = 0
+    for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 40):
+        sols = [s for s in sols if compute_lift_plan(s, prev, nxt, spec)._sizes[0] == 1]
+        p, r = assert_lifts_as_brute_force(sols, prev, nxt, spec)
+        pinned, rejected = pinned + p, rejected + r
+    assert pinned >= 90 and rejected >= 30, (pinned, rejected)
+
+
+def test_pinned_dlog_step_builds_no_tables(t3, monkeypatch):
+    # every class of t3's step 4 (the fresh prime 530713) is pinned and goes
+    # to the dlog lift, which takes its one sum without _cross_sums
+    spec = ProblemSpec(2, 3, 12)
+    sols = live_classes(spec, t3)[3]
+    calls = []
+    monkeypatch.setattr("modchain.solver._cross_sums", lambda *a, **k: calls.append(a) or _cross_sums(*a, **k))
+    balanced, unbalanced, _ = _lift_chunk((spec, t3.steps[2], t3.steps[3], sols, DEFAULT_MEMORY_CAP))
+    assert (len(sols), balanced, unbalanced, len(calls)) == (29, 0, 29, 0)
 
 
 # ---------------------------------------------------------------------------
