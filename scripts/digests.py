@@ -8,9 +8,14 @@ the solutions. Every case is solved with 1 and with 2 workers, which must
 agree. A change that keeps the solver's outputs leaves every digest as it is;
 regenerate the file only for a change that alters outputs on purpose.
 
+--long runs the LONG cases instead of CASES: the settled cases beyond
+CASES, which take minutes each (2=sum3 n=22 peaks above 1 GB). Rewriting
+the file replaces only the cases run and keeps the others' entries.
+
 Examples:
-    python3 scripts/digests.py           # rewrite tests/data/digests.json
-    python3 scripts/digests.py --check   # compare every case with the file
+    python3 scripts/digests.py                  # rewrite the CASES entries
+    python3 scripts/digests.py --check          # compare every CASES case with the file
+    python3 scripts/digests.py --check --long   # compare the LONG cases
 """
 
 import argparse
@@ -25,6 +30,7 @@ from modchain.chains import bundled_chain
 from modchain.cli import BUNDLED
 
 CASES = [("3=sum2", n) for n in range(1, 17)] + [("2=sum3", n) for n in range(2, 21, 2)]
+LONG = [("3=sum2", 17), ("2=sum3", 22)]
 DIGESTS = Path(__file__).resolve().parents[1] / "tests" / "data" / "digests.json"
 WORKERS = (1, 2)
 
@@ -86,12 +92,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
                     help=f"compare with {DIGESTS.name} instead of rewriting it")
+    ap.add_argument("--long", action="store_true", help="run the LONG cases instead of CASES")
     args = ap.parse_args()
 
-    want = json.loads(DIGESTS.read_text()) if args.check else {}
+    want = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     got = {}
     failed = []
-    for direction, n in CASES:
+    for direction, n in LONG if args.long else CASES:
         key = case_key(direction, n)
         try:
             got[key] = agreed_digests(direction, n)
@@ -108,9 +115,11 @@ def main() -> int:
     if failed:
         return 1
     if not args.check:
+        merged = {**want, **got}
+        merged = {k: merged[k] for k in (case_key(d, n) for d, n in CASES + LONG) if k in merged}
         DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-        DIGESTS.write_text(json.dumps(got, indent=1) + "\n")
-        print(f"wrote {len(got)} cases to {DIGESTS}")
+        DIGESTS.write_text(json.dumps(merged, indent=1) + "\n")
+        print(f"wrote {len(got)} cases to {DIGESTS}, {len(merged)} in all")
     return 0
 
 

@@ -261,37 +261,79 @@ def _multiset_count(k: int, m: int) -> int:
     return math.comb(k + m - 1, m) if k else int(m == 0)
 
 
-def _base_plan(n: int, T: int, det: int, forced: int, num_powers: int) -> tuple[int, list[int]]:
+def _x_by_residue(power_res: list[int], Q: int) -> dict[int, list[tuple[int, int]]]:
+    """(x, P^x mod M) for every canonical x, grouped by P^x mod Q, x ascending."""
+    by_res: dict[int, list[tuple[int, int]]] = {}
+    for x, p in enumerate(power_res):
+        by_res.setdefault(p % Q, []).append((x, p))
+    return by_res
+
+
+def _base_plan(
+    n: int, summand_shape: CycleShape, det: int, forced: int, power_res: list[int]
+) -> tuple[int, list[tuple[int, int]]]:
     """The split s in [det, T] of the base search, and for each left count c
-    the number of top right summands tabled with x, that need the least work.
+    (r, entries): the number r of top right summands tabled with x, and the
+    entries of that count's table, that need the least work.
 
-    Work is table entries (one per left tuple, top multiset and canonical x,
-    weighed _TABLE_ENTRY_WORK) plus bottom multisets streamed, all counted
-    exactly; ties go to the smallest s and the fewest tabled summands. A count
-    whose tables would all exceed _BASE_TABLE_CAP entries makes its s
-    ineligible; if no s is eligible, s = det, and a count that fits no table
-    gets the untopped one, the smallest there is. The left tuples of count c
-    are those of _left_tuples; the right summands of count c are an
-    (n-c)-multiset of [s, T), split into a streamed bottom and a tabled top.
+    A table entry is one (left tuple, x, top multiset) whose x fits the left
+    tuple modulo Q = S^min(s, tail), S the summand base: every right summand
+    is S^a with a >= s, so 0 mod Q, and P^x must equal the left sum there.
+    The left tuples of count c are those of _left_tuples; only their
+    exponents below e = min(s, tail) move their sum mod Q, so each count of
+    entries is exact from the residues of the "low" parts (the forced zeros,
+    the optional determinate indices and, in a census, multisets of [0, e)),
+    times the multisets of [max(det, e), s) that complete them. power_res
+    holds P^x mod M for each canonical x, and Q = 1 (s = 0 in a census, or
+    a tail of 0) filters nothing.
+
+    Work is table entries, weighed _TABLE_ENTRY_WORK, plus bottom multisets
+    streamed, all counted exactly; ties go to the smallest s and the fewest
+    tabled summands. A count whose tables would all exceed _BASE_TABLE_CAP
+    entries makes its s ineligible; if no s is eligible, s = det, and a count
+    that fits no table gets the untopped one, the smallest there is. The
+    right summands of count c are an (n-c)-multiset of [s, T), split into a
+    streamed bottom and a tabled top.
     """
-    optional = max(det - forced, 0)
+    T, tail, S = summand_shape.num_powers, summand_shape.tail_len, summand_shape.base
+    lows: dict[int, list[int]] = {}
 
-    def count_work(s: int, c: int) -> tuple[float, int]:
-        left = sum(
-            math.comb(optional, k) * _multiset_count(s - det, c - forced - k)
-            for k in range(min(optional, c - forced) + 1)
-        )
-        if not left:
-            return 0, 0
+    def admissible(e: int) -> list[int]:
+        """For each count j, the (low tuple of count j, x) pairs that agree mod S^e."""
+        if e not in lows:
+            Q = S**e
+            fits = {res: len(pairs) for res, pairs in _x_by_residue(power_res, Q).items()}
+            # by_count[j]: sum of a low tuple of count j mod Q -> how many have it
+            by_count: list[dict[int, int]] = [{} for _ in range(n + 1)]
+            by_count[forced][forced % Q] = 1
+            for i in range(forced, max(det, e)):
+                w = S**i % Q
+                # an optional index [forced, det) is used once: counts descend;
+                # a free one [det, e) any number of times: counts ascend
+                for j in range(n - 1, -1, -1) if i < det else range(n):
+                    nxt = by_count[j + 1]
+                    for res, k in by_count[j].items():
+                        key = (res + w) % Q
+                        nxt[key] = nxt.get(key, 0) + k
+            lows[e] = [sum(k * fits.get(res, 0) for res, k in d.items()) for d in by_count]
+        return lows[e]
+
+    def count_work(s: int, c: int) -> tuple[float, int, int]:
+        e = min(s, tail)
+        low, free = admissible(e), s - max(det, e)
+        pairs = sum(low[j] * _multiset_count(free, c - j) for j in range(c + 1))
+        if not pairs:
+            return 0, 0, 0
         plans = []
         for r in range(n - c + 1):
-            entries = num_powers * left * _multiset_count(T - s, r)
+            entries = pairs * _multiset_count(T - s, r)
             if entries <= _BASE_TABLE_CAP:
-                plans.append((_TABLE_ENTRY_WORK * entries + _multiset_count(T - s, n - c - r), r))
-        return min(plans, default=(math.inf, 0))
+                work = _TABLE_ENTRY_WORK * entries + _multiset_count(T - s, n - c - r)
+                plans.append((work, r, entries))
+        return min(plans, default=(math.inf, 0, pairs))
 
     s = min(range(det, T + 1), key=lambda s: sum(count_work(s, c)[0] for c in range(n + 1)))
-    return s, [count_work(s, c)[1] for c in range(n + 1)]
+    return s, [count_work(s, c)[1:] for c in range(n + 1)]
 
 
 def _left_tuples(c: int, s: int, det: int, forced: int):
@@ -317,25 +359,35 @@ def enumerate_base_solutions(
     determinate exponents cannot repeat; off, the raw census of exponent
     multisets is returned (useful for audits and extraneous-solution checks).
 
-    The summand indices [0, T) split at s >= the tail length, so the side
-    conditions concern only the left part [0, s) and the right part [s, T)
-    is free. For each left count c the right part is an (n-c)-multiset of
-    [s, T). Its r largest members (the top) are tabled with x and the left
-    tuple, keyed by P^x - (left sum) - (top sum) mod M; its other members
-    (the bottom) are streamed with combinations_with_replacement, never
-    stored, and looked up by their sum. A match counts only when the bottom
-    lies below the top, so each multiset is found once. r = 0 is the plain
-    split; r = 1 solves for the last summand, which wins when T is much
-    larger than n.
+    The summand indices [0, T) split at s (at or past the tail length when
+    the side conditions are on), so the side conditions concern only the
+    left part [0, s) and the right part [s, T) is free. For each left count
+    c the right part is an (n-c)-multiset of [s, T). Its r largest members
+    (the top) are tabled with x and the left tuple, keyed by
+    P^x - (left sum) - (top sum) mod M; its other members (the bottom) are
+    streamed with combinations_with_replacement, never stored, and looked
+    up by their sum. A match counts only when the bottom lies below the top,
+    so each multiset is found once. r = 0 is the plain split; r = 1 solves
+    for the last summand, which wins when T is much larger than n.
+
+    Only the x that fit a left tuple are tabled with it. Q = S^min(s, tail)
+    divides M, and every right summand S^a has a >= s, so it is 0 mod Q: a
+    solution's x has P^x = (left sum) mod Q. A left tuple is tabled with the
+    x of its residue alone, and skipped when there is none. The entries left
+    out could never match, so the hits are exactly those of a search over
+    every x. On t3's first modulus 2*3^4*13*757, 2 has order 54 mod 81, so a
+    left tuple tables about 14 of the 757 canonical x. Q = 1 (a census split
+    at 0, or a tail of 0) leaves every x in.
 
     Split rule (_base_plan): s and each count's r minimise the work, table
-    entries plus bottoms streamed, from exact counts, with a table entry
-    weighed as two streamed bottoms (an insert costs about twice a lookup).
-    Memory stays bounded because only one count's table is alive at a time
-    and the rule only picks plans whose tables hold at most _BASE_TABLE_CAP
-    entries; the plain split at s = det, which builds the smallest tables,
-    is the fallback when no plan fits. MemoryBudgetExceeded is raised as soon
-    as more than _BASE_CLASS_CAP solutions are found.
+    entries plus bottoms streamed, from exact counts of the filtered entries,
+    with a table entry weighed as two streamed bottoms (an insert costs
+    about twice a lookup). Memory stays bounded because only one count's
+    table is alive at a time and the rule only picks plans whose tables hold
+    at most _BASE_TABLE_CAP entries; the plain split at s = det, which
+    builds the smallest tables, is the fallback when no plan fits.
+    MemoryBudgetExceeded is raised as soon as more than _BASE_CLASS_CAP
+    solutions are found.
     """
     power_shape, summand_shape = _shapes(spec, m1)
     T = summand_shape.num_powers
@@ -354,23 +406,28 @@ def enumerate_base_solutions(
 
     det = summand_shape.tail_len if side_conditions else 0
     forced = 1 if side_conditions else 0
-    s, tops = _base_plan(n, T, det, forced, power_shape.num_powers)
+    s, plan = _base_plan(n, summand_shape, det, forced, power_res)
     right = range(s, T)
+    Q = spec.summand_base ** min(s, summand_shape.tail_len)
+    x_by_residue = _x_by_residue(power_res, Q)
 
-    xs = list(range(power_shape.num_powers))  # one int object per x, shared by the tables
     hits: list[tuple[int, tuple[int, ...]]] = []
-    for c, r in enumerate(tops):
+    for c, (r, entries) in enumerate(plan):
+        if not entries:
+            continue
         # (P^x - left sum - top sum) mod M -> (x, left, top, next entry with that key),
-        # for the left tuples of count c
+        # for the left tuples of count c and the x that fit each one mod Q
         table: dict[int, tuple] = {}
         for left in _left_tuples(c, s, det, forced):
+            left_sum = sum(pow_s[i] for i in left)
+            fits = x_by_residue.get(left_sum % Q)
+            if fits is None:
+                continue
             for top in combinations_with_replacement(right, r):
-                acc = sum(pow_s[i] for i in left + top)
-                for x, p in zip(xs, power_res):
+                acc = left_sum + sum(pow_s[i] for i in top)
+                for x, p in fits:
                     key = (p - acc) % M
                     table[key] = (x, left, top, table.get(key))
-        if not table:
-            continue
         bottoms = combinations_with_replacement(right, n - c - r)
         sums = map(M.__rmod__, map(sum, combinations_with_replacement(pow_s[s:], n - c - r)))
         for bottom, entry in zip(bottoms, map(table.get, sums)):

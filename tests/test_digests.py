@@ -1,7 +1,8 @@
 """The solver's outputs on the bundled chains match the recorded digests.
 
 scripts/digests.py writes tests/data/digests.json and, with --check, compares
-every recorded case; this test compares the fast ones, at 1 and 2 workers.
+the CASES with it (with --long, the LONG cases); this test compares the fast
+ones, at 1 and 2 workers.
 """
 
 import json
@@ -17,7 +18,8 @@ FAST = [("3=sum2", n) for n in range(1, 15)] + [("2=sum3", n) for n in range(2, 
 
 
 def test_recorded_cases_cover_the_fast_ones():
-    assert set(RECORDED) == {DIGESTS["case_key"](d, n) for d, n in DIGESTS["CASES"]}
+    recorded = DIGESTS["CASES"] + DIGESTS["LONG"]
+    assert set(RECORDED) == {DIGESTS["case_key"](d, n) for d, n in recorded}
     assert set(FAST) < set(DIGESTS["CASES"])
 
 

@@ -35,9 +35,11 @@ from modchain.chains import fresh_prime
 from modchain.errors import BaseModulusTooLarge
 from modchain.solver import (
     DEFAULT_MEMORY_CAP,
+    _BASE_TABLE_CAP,
     _base_plan,
     _choose_split,
     _cross_sums,
+    _left_tuples,
     _lift_chunk,
     _multiset_count,
     _StepWorkspace,
@@ -194,7 +196,10 @@ def test_base_brute_agreement():
     rng = random.Random(7)
     moduli = [85, 7, 24] + [rng.randrange(2, 4000) for _ in range(40)]
     cases = [(m_val, n) for m_val in moduli for n in range(1, 7)] + [(8176, 7), (8176, 8)]
-    checked = dict.fromkeys(["tail 0", "n > T", "split past the tail", "tabled tops"], 0)
+    checked = dict.fromkeys([
+        "tail 0", "n > T", "split past the tail", "tabled tops",
+        "filter in both modes", "left residue with no x", "census split below the tail",
+    ], 0)
     for m_val, n in cases:
         m = fm(m_val)
         for power_base, summand_base in ((3, 2), (2, 3)):
@@ -202,18 +207,83 @@ def test_base_brute_agreement():
             if ss.num_powers > 13:
                 continue
             spec = ProblemSpec(power_base, summand_base, n)
+            power_res = [pow(power_base, x, m_val) for x in range(ps.num_powers)]
+            filtered = set()
             for side in (True, False):
                 got = [(s.x, s.exponents)
                        for s in enumerate_base_solutions(spec, m, side_conditions=side)]
                 assert got == sorted(set(got)), (m_val, spec, side)  # sorted, no repeats
                 assert got == brute_base(spec, m, side), (m_val, spec, side)
                 det = ss.tail_len if side else 0
-                split, tops = _base_plan(n, ss.num_powers, det, int(side), ps.num_powers)
+                split, plan = _base_plan(n, ss, det, int(side), power_res)
                 checked["split past the tail"] += split > det
-                checked["tabled tops"] += split > det and any(tops)
+                checked["tabled tops"] += split > det and any(r for r, _ in plan)
+                Q = summand_base ** min(split, ss.tail_len)
+                if Q > 1:
+                    filtered.add(side)
+                    x_residues = {p % Q for p in power_res}
+                    checked["left residue with no x"] += any(
+                        sum(summand_base**a for a in left) % Q not in x_residues
+                        for c in range(n + 1)
+                        for left in _left_tuples(c, split, det, int(side))
+                    )
+                checked["census split below the tail"] += not side and 0 < split < ss.tail_len
+            checked["filter in both modes"] += filtered == {True, False}
             checked["tail 0"] += ss.tail_len == 0
             checked["n > T"] += n > ss.num_powers
     assert min(checked.values()) > 0, checked
+
+
+@pytest.mark.parametrize("cap", [_BASE_TABLE_CAP, 8])
+def test_base_plan_counts_are_exact(monkeypatch, cap):
+    # each count's planned table entries = left tuples x the x that fit them
+    # mod S^min(s, tail) x top multisets, counted by brute force; a table over
+    # the cap is only ever the fallback (s = det, no tabled top). The tiny cap
+    # forces that fallback, and the search must still agree with brute force
+    monkeypatch.setattr("modchain.solver._BASE_TABLE_CAP", cap)
+    rng = random.Random(13)
+    checked = dict.fromkeys(["filter, side conditions", "filter, census", "fallback"], 0)
+    for m_val in [5440, 8176, 1053] + [rng.randrange(2, 4000) for _ in range(60)]:
+        m = fm(m_val)
+        for power_base, summand_base in ((3, 2), (2, 3)):
+            ps, ss = cycle_shape(power_base, m), cycle_shape(summand_base, m)
+            if ss.num_powers > 12:
+                continue
+            power_res = [pow(power_base, x, m_val) for x in range(ps.num_powers)]
+            T, tail = ss.num_powers, ss.tail_len
+            for n, side in itertools.product(range(1, 6), (True, False)):
+                det = tail if side else 0
+                s, plan = _base_plan(n, ss, det, int(side), power_res)
+                Q = summand_base ** min(s, tail)
+                for c, (r, entries) in enumerate(plan):
+                    brute = sum(
+                        (p - sum(summand_base**a for a in left)) % Q == 0
+                        for left in brute_lefts(c, s, tail, side) for p in power_res
+                    )
+                    assert entries == brute * _multiset_count(T - s, r), (m_val, n, side, c)
+                    assert entries <= cap or (s == det and r == 0), (m_val, n, side, c)
+                    checked["fallback"] += entries > cap
+                if Q > 1:
+                    checked["filter, side conditions" if side else "filter, census"] += 1
+                if cap < _BASE_TABLE_CAP and n <= 4:
+                    spec = ProblemSpec(power_base, summand_base, n)
+                    got = [(sol.x, sol.exponents)
+                           for sol in enumerate_base_solutions(spec, m, side_conditions=side)]
+                    assert got == brute_base(spec, m, side), (m_val, spec, side)
+    assert checked["filter, side conditions"] and checked["filter, census"], checked
+    assert (checked["fallback"] > 0) == (cap < _BASE_TABLE_CAP), checked
+
+
+def brute_lefts(c, s, tail, side_conditions):
+    """The left tuples of count c below the split s, by filtering multisets:
+    with side conditions, a 0 and c - 1 more below s (with a tail of 0, s
+    may be 0), none repeated below the tail."""
+    if side_conditions and not c:
+        return
+    for rest in itertools.combinations_with_replacement(range(s), c - side_conditions):
+        left = (0,) * side_conditions + rest
+        if not side_conditions or all(a != b or a >= tail for a, b in zip(left, left[1:])):
+            yield left
 
 
 def brute_base(spec, m, side_conditions):
