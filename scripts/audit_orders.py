@@ -10,12 +10,13 @@ import argparse
 import sys
 
 from modchain import ModchainError, step_diagnostics
+from modchain.chains import DIRECTIONS
 from modchain.cli import _load_chain
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--direction", choices=("3=sum2", "2=sum3"),
+    ap.add_argument("--direction", choices=DIRECTIONS,
                     help="default: the chain file's direction, else 3=sum2")
     ap.add_argument("--chain", help="chain file (default: the bundled one)")
     args = ap.parse_args()

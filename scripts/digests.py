@@ -30,7 +30,7 @@ from modchain.chains import bundled_chain
 from modchain.cli import BUNDLED
 
 CASES = [("3=sum2", n) for n in range(1, 17)] + [("2=sum3", n) for n in range(2, 21, 2)]
-LONG = [("3=sum2", 17), ("2=sum3", 22)]
+LONG = [("3=sum2", n) for n in range(17, 21)] + [("2=sum3", 22)]
 DIGESTS = Path(__file__).resolve().parents[1] / "tests" / "data" / "digests.json"
 WORKERS = (1, 2)
 

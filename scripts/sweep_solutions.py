@@ -12,12 +12,13 @@ import argparse
 import sys
 
 from modchain import ChainExhausted, ModchainError, ProblemSpec, SolverConfig, solve_chain
+from modchain.chains import DIRECTIONS
 from modchain.cli import _load_chain, _positive_int
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--direction", choices=("3=sum2", "2=sum3"),
+    ap.add_argument("--direction", choices=DIRECTIONS,
                     help="default: the chain file's direction, else 3=sum2")
     ap.add_argument("--n-max", type=_positive_int, default=14)
     ap.add_argument("--chain", help="chain file (default: the bundled one)")

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .chains import Chain, bundled_chain_text, load_chain_file, parse_chain_file
+from .chains import DIRECTIONS, Chain, bundled_chain_text, load_chain_file, parse_chain_file
 from .errors import (
     ChainExhausted,
     FactorizationNeeded,
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run the solver for one value of n")
-    p_solve.add_argument("--direction", choices=("3=sum2", "2=sum3"))
+    p_solve.add_argument("--direction", choices=DIRECTIONS)
     p_solve.add_argument("--n", type=int, required=True, help="number of summands")
     p_solve.add_argument("--chain", help="chain file path (default: bundled chain)")
     p_solve.add_argument(
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1.set_defaults(func=_cmd_verify_table1)
 
     p_val = sub.add_parser("validate", help="audit a chain against known solutions")
-    p_val.add_argument("--direction", choices=("3=sum2", "2=sum3"))
+    p_val.add_argument("--direction", choices=DIRECTIONS)
     p_val.add_argument("--chain", help="chain file path (default: bundled chain)")
     p_val.add_argument("--solutions", required=True,
                        help="file of known solutions, one 'x a1,a2,...' per line")

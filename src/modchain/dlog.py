@@ -1,19 +1,19 @@
-"""Discrete logarithms: prime-field logs inside a base's subgroup, plus the 2-adic and 3-adic cases.
+"""Discrete logarithms inside a base's subgroup: modulo an odd prime, 2^u and 3^v.
 
-A log to base b modulo an odd prime p is found inside <b>, the subgroup that b
-generates, by Pohlig-Hellman over ord_p(b) (Pohlig & Hellman, IEEE Trans. IT
-24(1), 1978). Each prime-power part q^e of the order is solved in blocks of c
-base-q digits, q^c <= _BLOCK_TABLE, by one exponentiation and one lookup in a
-baby table of the block's q^c powers. A prime q above _BLOCK_TABLE gets one
-digit per block and a baby-step giant-step search (Shanks, 1971) over a table
-of max(_BLOCK_TABLE, ceil(sqrt q)) entries. A lookup miss means the target is
-not a power of b. The tables are built once per (prime, base) and cached in
-the prime's context, so repeated queries against the same modulus (the hot
-pattern in dlog-based lift steps) pay only the per-call exponentiations.
-
-Powers of 3 modulo 2^u and powers of 2 modulo 3^v do not need any of that:
-the unit groups are (almost) cyclic on those bases and a digit-by-digit lift
-finds the exponent class directly.
+A log to base b modulo m is found inside <b>, the subgroup that b generates,
+by Pohlig-Hellman over ord_m(b) (Pohlig & Hellman, IEEE Trans. IT 24(1),
+1978), given the factorisation of a multiple of that order: p - 1 for an odd
+prime p, 2^(u-1) for 2^u, 2 * 3^(v-1) for 3^v. Each prime-power part q^e of
+the order is solved in blocks of c base-q digits, q^c <= _BLOCK_TABLE, by one
+exponentiation and one lookup in a baby table of the block's q^c powers. A
+prime q above _BLOCK_TABLE gets one digit per block and a baby-step
+giant-step search (Shanks, 1971) over a table of max(_BLOCK_TABLE,
+ceil(sqrt q)) entries. A lookup miss, or a result that b does not raise to
+the target, means the target is not a power of b. The tables of an odd prime
+are built once per base and cached in the prime's context, so repeated
+queries against the same modulus (the hot pattern in dlog-based lift steps)
+pay only the per-call exponentiations. The 2-adic and 3-adic logs build their
+few small tables per call.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .errors import InvalidInput, MemoryBudgetExceeded
 from .factorint import factorize, is_probable_prime
+from .modcore import _order_from_multiple
 
 # Largest baby table of a digit block: a block covers c base-q digits with
 # q^c <= _BLOCK_TABLE, and a prime q above it gets one digit per block and
@@ -62,43 +63,44 @@ def find_generator(p: int) -> int:
 
 
 class _DigitTable:
-    """Logs to base g in the subgroup <g> mod p of order n, a prime power.
+    """Logs to base g in the subgroup <g> mod m of order n, a prime power.
 
-    The baby table holds g^j for j < m: all of <g> when n <= _BLOCK_TABLE,
-    else m = max(_BLOCK_TABLE, ceil(sqrt n)) and giant steps of g^-m cover
-    the rest.
+    The baby table holds g^j for j < k: all of <g> when n <= _BLOCK_TABLE,
+    else k = max(_BLOCK_TABLE, ceil(sqrt n)) and giant steps of g^-k cover
+    the rest. Giant steps need a prime n > _BLOCK_TABLE, so m is then an odd
+    prime and (Z/mZ)* is cyclic.
     """
 
-    __slots__ = ("p", "order", "baby", "giant", "steps")
+    __slots__ = ("m", "order", "baby", "giant", "steps")
 
-    def __init__(self, g: int, order: int, p: int):
-        m = order if order <= _BLOCK_TABLE else max(_BLOCK_TABLE, math.isqrt(order - 1) + 1)
-        if m > _MAX_BSGS_TABLE:
+    def __init__(self, g: int, order: int, m: int):
+        k = order if order <= _BLOCK_TABLE else max(_BLOCK_TABLE, math.isqrt(order - 1) + 1)
+        if k > _MAX_BSGS_TABLE:
             raise MemoryBudgetExceeded(f"baby-step table for subgroup of order {order} too large")
         baby: dict[int, int] = {}
         cur = 1
-        for j in range(m):
+        for j in range(k):
             baby[cur] = j
-            cur = cur * g % p
-        self.p, self.order, self.baby = p, order, baby
-        self.giant = pow(cur, -1, p)
-        self.steps = -(-order // m)
+            cur = cur * g % m
+        self.m, self.order, self.baby = m, order, baby
+        self.giant = pow(cur, -1, m)
+        self.steps = -(-order // k)
 
     def log(self, z: int) -> int | None:
         """j in [0, order) with g^j = z, or None if z is not in <g>."""
         j = self.baby.get(z)
         if j is not None or self.steps == 1:
             return j
-        p = self.p
-        if pow(z, self.order, p) != 1:
+        m = self.m
+        if pow(z, self.order, m) != 1:
             return None  # <g> is the only subgroup of its order
         baby, giant = self.baby, self.giant
-        m = len(baby)
+        k = len(baby)
         for i in range(1, self.steps):
-            z = z * giant % p
+            z = z * giant % m
             j = baby.get(z)
             if j is not None:
-                return i * m + j
+                return i * k + j
         raise AssertionError("unreachable: z is in <g>")
 
 
@@ -112,32 +114,28 @@ class _Block(NamedTuple):
 
 
 class _Part(NamedTuple):
-    """The q^e part of ord_p(b): s^cofactor lies in <h>, h = b^cofactor, when s is in <b>."""
+    """The q^e part of ord_m(b): s^cofactor lies in <h>, h = b^cofactor, when s is in <b>."""
 
-    cofactor: int  # ord_p(b) / q^e
-    crt: int  # 1 mod q^e and 0 mod ord_p(b) / q^e
+    cofactor: int  # ord_m(b) / q^e
+    crt: int  # 1 mod q^e and 0 mod ord_m(b) / q^e
     blocks: tuple[_Block, ...]
 
 
 class _SubgroupLog:
-    """Logs to base b mod p inside <b>, by Pohlig-Hellman over ord_p(b)."""
+    """Logs to base b mod m inside <b>, by Pohlig-Hellman over ord_m(b).
 
-    def __init__(self, p: int, b: int, pm1_factors: tuple[tuple[int, int], ...]):
-        self.p, self.b = p, b
-        order, order_factors = p - 1, []
-        for q, e in pm1_factors:
-            while e and pow(b, order // q, p) == 1:
-                order //= q
-                e -= 1
-            if e:
-                order_factors.append((q, e))
-        self.order = order
+    factors is the factorisation of a multiple of ord_m(b), such as phi(m).
+    """
+
+    def __init__(self, m: int, b: int, factors: tuple[tuple[int, int], ...]):
+        order, order_factors = _order_from_multiple(b, m, factors)
+        self.m, self.b, self.order = m, b, order
         parts = []
         for q, e in order_factors:
             n = q**e
             cofactor = order // n
-            h = pow(b, cofactor, p)
-            h_inv = pow(h, -1, p)
+            h = pow(b, cofactor, m)
+            h_inv = pow(h, -1, m)
             width = 1
             while width < e and q ** (width + 1) <= _BLOCK_TABLE:
                 width += 1
@@ -146,34 +144,34 @@ class _SubgroupLog:
             for offset in range(0, e, width):
                 w = min(width, e - offset)
                 if w not in tables:
-                    tables[w] = _DigitTable(pow(h, q ** (e - w), p), q**w, p)
+                    tables[w] = _DigitTable(pow(h, q ** (e - w), m), q**w, m)
                 scale = q**offset
-                undo = pow(h_inv, scale, p) if offset + w < e else None
+                undo = pow(h_inv, scale, m) if offset + w < e else None
                 blocks.append(_Block(q ** (e - offset - w), scale, undo, tables[w]))
             parts.append(_Part(cofactor, cofactor * pow(cofactor, -1, n) % order, tuple(blocks)))
         self.parts = tuple(parts)
 
     def log(self, s: int) -> DlogResult | None:
-        """The class of e with b^e = s mod p, for a unit s; None if s is not in <b>.
+        """The class of e with b^e = s mod m, for a reduced unit s; None if s is not in <b>.
 
         Within a part, rest = s^cofactor * h^-y once the digits y below a
         block are known, so rest^power is the block's digits in its table's
         subgroup.
         """
-        p = self.p
+        m = self.m
         x = 0
         for cofactor, crt, blocks in self.parts:
-            rest, digits = pow(s, cofactor, p), 0
+            rest, digits = pow(s, cofactor, m), 0
             for power, scale, undo, table in blocks:
-                d = table.log(pow(rest, power, p))
+                d = table.log(pow(rest, power, m))
                 if d is None:
                     return None
                 digits += d * scale
                 if undo is not None:
-                    rest = rest * pow(undo, d, p) % p
+                    rest = rest * pow(undo, d, m) % m
             x += digits * crt
         x %= self.order
-        if pow(self.b, x, p) != s:
+        if pow(self.b, x, m) != s:
             return None
         return DlogResult(residue_class=x, class_modulus=self.order)
 
@@ -232,24 +230,12 @@ def log3_mod_2u(z: int, u: int) -> DlogResult | None:
     """Exponent class of z as a power of 3 modulo 2^u, for u >= 3.
 
     Powers of 3 mod 8 are exactly {1, 3}, so z = 5, 7 (mod 8) returns None.
-    Otherwise the exponent is found one bit of precision at a time: the order
-    of 3 mod 2^w is 2^(w-2), so each extra bit of modulus either keeps the
-    exponent or bumps it by the previous order.
     """
     if u < 3:
         raise InvalidInput("u must be >= 3")
     if z % 2 == 0:
         raise InvalidInput("z must be odd")
-    zr = z % 8
-    if zr in (5, 7):
-        return None
-    e = 0 if zr == 1 else 1
-    for w in range(4, u + 1):
-        mod = 1 << w
-        if pow(3, e, mod) != z % mod:
-            e += 1 << (w - 3)
-    order = 1 << (u - 2)
-    return DlogResult(residue_class=e % order, class_modulus=order)
+    return _SubgroupLog(1 << u, 3, ((2, u - 1),)).log(z % (1 << u))
 
 
 def log2_mod_3v(z: int, v: int) -> DlogResult:
@@ -262,16 +248,4 @@ def log2_mod_3v(z: int, v: int) -> DlogResult:
         raise InvalidInput("v must be >= 1")
     if z % 3 == 0:
         raise InvalidInput("z must be coprime to 3")
-    e = 0 if z % 3 == 1 else 1
-    for w in range(2, v + 1):
-        mod = 3**w
-        step = 2 * 3 ** (w - 2)
-        target = z % mod
-        for t in range(3):
-            if pow(2, e + t * step, mod) == target:
-                e += t * step
-                break
-        else:
-            raise AssertionError("unreachable: 2 generates the units mod 3^w")
-    order = 2 * 3 ** (v - 1)
-    return DlogResult(residue_class=e % order, class_modulus=order)
+    return _SubgroupLog(3**v, 2, ((2, 1), (3, v - 1))).log(z % 3**v)

@@ -60,16 +60,7 @@ class FactoredModulus:
         """Factor n (small or smooth enough for the factorizer) into a modulus."""
         if n < 1:
             raise InvalidInput(f"modulus must be positive, got {n}")
-        two = three = 0
-        rest = []
-        for p, e in factorize(n):
-            if p == 2:
-                two = e
-            elif p == 3:
-                three = e
-            else:
-                rest.append((p, e))
-        return cls(two, three, tuple(rest), n)
+        return cls.from_prime_powers(factorize(n), check_primality=False)
 
     @classmethod
     def from_prime_powers(cls, pairs, check_primality: bool = True) -> "FactoredModulus":
@@ -141,6 +132,23 @@ class CycleShape:
         return self.tail_len + (e - self.tail_len) % self.loop_len
 
 
+def _order_from_multiple(
+    b: int, m: int, factors: tuple[tuple[int, int], ...]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Order of the unit b mod m and its factorisation, given the factorisation of a multiple of it.
+
+    Each prime is stripped from the multiple while b still reaches 1.
+    """
+    order, order_factors = factor_value(factors), []
+    for q, e in factors:
+        while e and pow(b, order // q, m) == 1:
+            order //= q
+            e -= 1
+        if e:
+            order_factors.append((q, e))
+    return order, tuple(order_factors)
+
+
 @lru_cache(maxsize=None)
 def _order_mod_prime_power(b: int, p: int, e: int) -> int:
     """Multiplicative order of b modulo p^e; b must already be reduced and coprime."""
@@ -150,13 +158,7 @@ def _order_mod_prime_power(b: int, p: int, e: int) -> int:
         return 1
     if math.gcd(b, pe) != 1:
         raise NotCoprime(f"gcd({b}, {p}^{e}) != 1")
-    # ord divides phi(p^e); strip primes from that candidate while it keeps working
-    phi = p ** (e - 1) * (p - 1)
-    order = phi
-    for q, _ in factorize(phi):
-        while order % q == 0 and pow(b, order // q, pe) == 1:
-            order //= q
-    return order
+    return _order_from_multiple(b, pe, factorize(p ** (e - 1) * (p - 1)))[0]
 
 
 def multiplicative_order(b: int, m: FactoredModulus) -> int:

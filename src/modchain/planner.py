@@ -90,16 +90,9 @@ def construct_extraneous(m: FactoredModulus, c: int, x: int, y: int) -> Extraneo
         sper = t // g
         s = (-(e0 // g)) * pow(o3 // g, -1, sper) % sper if sper > 1 else 0
     elif u >= 1:
-        mod2 = 1 << u
+        # x > 2 >= u, so 2^x = 0 and the relation gives 3^y = c mod 2^u: s = 0 fits
         t = 1 if u == 1 else 2
-        sper = t // math.gcd(o3, t)
-        s = None
-        for cand in range(sper):
-            if pow(3, y + cand * o3, mod2) == c % mod2:
-                s = cand
-                break
-        if s is None:
-            raise PreconditionViolated(f"no power of 3 matches {c} mod 2^{u}")
+        s, sper = 0, t // math.gcd(o3, t)
     else:
         s, sper = 0, 1
     while y + s * o3 <= v:

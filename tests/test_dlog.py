@@ -16,16 +16,35 @@ from modchain import (
 )
 from modchain import dlog as dlog_module
 from modchain.dlog import find_generator
+from modchain.factorint import factorize
+from modchain.modcore import _order_from_multiple
 
 PRIMES = [7, 257, 439, 1753, 65537, 167772161, 9361973132609]
 
 
-def brute_order(b, p):
-    e, v = 1, b % p
-    while v != 1:
-        v = v * b % p
-        e += 1
-    return e
+def powers(b, m):
+    """{b^e mod m: e} over one period of the powers of the unit b."""
+    table, v = {}, 1
+    while v not in table:
+        table[v] = len(table)
+        v = v * b % m
+    return table
+
+
+def brute_order(b, m):
+    return len(powers(b, m))
+
+
+def test_order_from_multiple_brute():
+    # the order and its factorisation from phi(m), for primes below 2000, 2^u and 3^v
+    primes = [p for p in range(3, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    cases = [(b, p, factorize(p - 1)) for p in primes for b in (2, 3) if p != b]
+    cases += [(b, 1 << u, ((2, u - 1),)) for u in range(1, 13) for b in (3, 5, (1 << u) - 1)]
+    cases += [(b, 3**v, ((2, 1), (3, v - 1))) for v in range(1, 8) for b in (2, 4, 3**v - 1)]
+    for b, m, factors in cases:
+        order, order_factors = _order_from_multiple(b % m, m, factors)
+        assert order == brute_order(b, m), (b, m)
+        assert order_factors == factorize(order), (b, m)
 
 
 def test_find_generator_small():
@@ -200,6 +219,18 @@ def test_log3_mod_2u_examples():
         log3_mod_2u(4, 5)
 
 
+def test_log3_mod_2u_exhaustive():
+    # every unit mod 2^u, across the 8-bit digit block of the non-cyclic (Z/2^uZ)*
+    for u in range(3, 13):
+        table = powers(3, 1 << u)
+        for z in range(1, 1 << u, 2):
+            r = log3_mod_2u(z, u)
+            if z in table:
+                assert (r.residue_class, r.class_modulus) == (table[z], len(table)), (z, u)
+            else:
+                assert r is None, (z, u)
+
+
 def test_log3_mod_2u_roundtrip():
     rng = random.Random(12)
     for _ in range(1000):
@@ -235,6 +266,15 @@ def test_log2_mod_3v_examples():
     assert (r.residue_class, r.class_modulus) == (1, 2)
     with pytest.raises(InvalidInput):
         log2_mod_3v(9, 3)
+
+
+def test_log2_mod_3v_exhaustive():
+    for v in range(1, 8):
+        table = powers(2, 3**v)
+        for z in range(1, 3**v):
+            if z % 3:
+                r = log2_mod_3v(z, v)
+                assert (r.residue_class, r.class_modulus) == (table[z], len(table)), (z, v)
 
 
 def test_log2_mod_3v_roundtrip():

@@ -58,7 +58,7 @@ def test_witness_small_two_part_branches():
     w = construct_extraneous(fm(279), -5, 3, 1)  # 9 * 31
     assert (w.x_prime, w.y_prime) == (23, 31)
     assert w.holds() and w.indeterminate()
-    # u = 2 and u = 1 take the direct scan over the short cycle mod 2^u
+    # u = 2 and u = 1: x > 2 makes 2^x = 0 mod 2^u, so y needs no 2-adic repair
     w = construct_extraneous(fm(540), -5, 3, 1)  # 4 * 27 * 5
     assert (w.x_prime, w.y_prime) == (23, 5)
     assert w.holds() and w.indeterminate()
