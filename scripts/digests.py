@@ -9,13 +9,16 @@ agree. A change that keeps the solver's outputs leaves every digest as it is;
 regenerate the file only for a change that alters outputs on purpose.
 
 --long runs the LONG cases instead of CASES: the settled cases beyond
-CASES, which take minutes each (2=sum3 n=22 peaks above 1 GB). Rewriting
-the file replaces only the cases run and keeps the others' entries.
+CASES, which take minutes each (2=sum3 n=22 peaks above 1 GB). --case,
+which may be repeated, runs only the named cases of CASES (or of LONG, with
+--long). Rewriting the file replaces only the cases run and keeps the
+others' entries.
 
 Examples:
     python3 scripts/digests.py                  # rewrite the CASES entries
     python3 scripts/digests.py --check          # compare every CASES case with the file
     python3 scripts/digests.py --check --long   # compare the LONG cases
+    python3 scripts/digests.py --long --case "3=sum2 n=18"   # rewrite one LONG entry
 """
 
 import argparse
@@ -41,6 +44,22 @@ def _sha(obj) -> str:
 
 def case_key(direction: str, n: int) -> str:
     return f"{direction} n={n}"
+
+
+def select_cases(keys: list[str], long: bool = False) -> list[tuple[str, int]]:
+    """LONG (long) or CASES, restricted to the cases named in `keys` if any are.
+
+    Raises ValueError for a key that is not in the list.
+    """
+    pool = LONG if long else CASES
+    unknown = set(keys) - {case_key(d, n) for d, n in pool}
+    if unknown:
+        where = "LONG" if long else "CASES (a LONG case needs --long)"
+        raise ValueError(
+            f"unknown case(s) {', '.join(sorted(unknown))}: not in {where}; "
+            f"keys look like {case_key(*pool[0])!r}"
+        )
+    return [c for c in pool if not keys or case_key(*c) in keys]
 
 
 def case_digests(direction: str, n: int, workers: int = 1) -> dict:
@@ -93,12 +112,18 @@ def main() -> int:
     ap.add_argument("--check", action="store_true",
                     help=f"compare with {DIGESTS.name} instead of rewriting it")
     ap.add_argument("--long", action="store_true", help="run the LONG cases instead of CASES")
+    ap.add_argument("--case", action="append", default=[], metavar="KEY",
+                    help='run only this case, e.g. "3=sum2 n=18" (repeatable)')
     args = ap.parse_args()
+    try:
+        cases = select_cases(args.case, args.long)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     want = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     got = {}
     failed = []
-    for direction, n in LONG if args.long else CASES:
+    for direction, n in cases:
         key = case_key(direction, n)
         try:
             got[key] = agreed_digests(direction, n)

@@ -1,4 +1,4 @@
-"""Modulus chains: cumulative products of factored moduli plus cached order data.
+"""Modulus chains: cumulative products of factored moduli with the loop lengths of 2 and 3.
 
 A chain file lists one factor per line in factored form, e.g.
 
@@ -14,11 +14,12 @@ direction header records which equation the chain was designed for:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import InvalidInput
-from .modcore import CycleShape, FactoredModulus, modified_orders
+from .modcore import CycleShape, FactoredModulus, _order_mod_prime_power
 
 DIRECTIONS = ("3=sum2", "2=sum3")
 
@@ -44,33 +45,17 @@ def fresh_prime(prev_modulus: FactoredModulus, factor: FactoredModulus) -> int |
 
 
 @dataclass(frozen=True)
-class StepOrders:
-    """Multiplicative orders of one base b at one chain step.
-
-    loop_factor/coprime_factor are O_b(m_i) and O_b'(m_i) for the step factor
-    alone; loop_cum/coprime_cum are the same for the cumulative modulus M_i.
-    """
-
-    loop_factor: int
-    loop_cum: int
-    coprime_factor: int
-    coprime_cum: int
-
-
-@dataclass(frozen=True)
 class ChainStep:
     index: int  # 1-based, matching the usual table numbering
     factor: FactoredModulus
     modulus: FactoredModulus
-    orders2: StepOrders
-    orders3: StepOrders
-
-    def orders(self, b: int) -> StepOrders:
-        return self.orders2 if b == 2 else self.orders3
+    loop2: int  # loop length of the powers of 2 in Z/MZ, M = modulus
+    loop3: int  # the same for the powers of 3
 
     def shape(self, b: int) -> CycleShape:
-        tail = self.modulus.two_exp if b == 2 else self.modulus.three_exp
-        return CycleShape(b, tail, self.orders(b).loop_cum)
+        if b == 2:
+            return CycleShape(2, self.modulus.two_exp, self.loop2)
+        return CycleShape(3, self.modulus.three_exp, self.loop3)
 
 
 class Chain:
@@ -86,17 +71,20 @@ class Chain:
             raise InvalidInput(f"unknown direction {direction!r}")
         steps: list[ChainStep] = []
         cum = FactoredModulus.from_parts()
+        exps: dict[int, int] = {}  # exponent of each prime in cum
+        loop2 = loop3 = 1
         for i, f in enumerate(factors, start=1):
             cum = cum * f
-            steps.append(
-                ChainStep(
-                    index=i,
-                    factor=f,
-                    modulus=cum,
-                    orders2=_step_orders(2, f, cum),
-                    orders3=_step_orders(3, f, cum),
-                )
-            )
+            grown = []  # the prime powers of cum whose primes divide f
+            for p, e in f.all_prime_powers():
+                exps[p] = exps.get(p, 0) + e
+                grown.append((p, exps[p]))
+            # A loop length is the lcm of the base's orders modulo the prime
+            # powers of cum other than its own. Only those in `grown` change,
+            # each to a multiple of its order at the previous step.
+            loop2 = math.lcm(loop2, *(_order_mod_prime_power(2, p, e) for p, e in grown if p != 2))
+            loop3 = math.lcm(loop3, *(_order_mod_prime_power(3, p, e) for p, e in grown if p != 3))
+            steps.append(ChainStep(i, f, cum, loop2, loop3))
         if not steps:
             raise InvalidInput("a chain needs at least one factor")
         return cls(steps, direction)
@@ -116,12 +104,6 @@ class Chain:
         if not 1 <= k <= len(self.steps):
             raise InvalidInput(f"prefix length {k} out of range")
         return Chain(self.steps[:k], self.direction)
-
-
-def _step_orders(b: int, factor: FactoredModulus, cum: FactoredModulus) -> StepOrders:
-    loop_f, cop_f = modified_orders(b, factor)
-    loop_c, cop_c = modified_orders(b, cum)
-    return StepOrders(loop_f, loop_c, cop_f, cop_c)
 
 
 # ---------------------------------------------------------------------------

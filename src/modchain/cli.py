@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check (verify-table1 mismatch or validate
 hazard), 2 usage or parse error, 3 chain exhausted before termination,
-4 resource limit (memory cap or factorization effort).
+4 resource limit (memory cap, factorization effort or a first modulus with
+too many summand powers to enumerate).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 
 from .chains import DIRECTIONS, Chain, bundled_chain_text, load_chain_file, parse_chain_file
 from .errors import (
+    BaseModulusTooLarge,
     ChainExhausted,
     FactorizationNeeded,
     InvalidInput,
@@ -198,6 +200,10 @@ def _cmd_validate(args) -> int:
             raise InvalidInput(
                 f"{args.solutions}: {_machine_line(x, exps)} needs strictly increasing exponents"
             )
+        if x < 0 or exps[0] < 0:
+            raise InvalidInput(
+                f"{args.solutions}: {_machine_line(x, exps)} has a negative exponent"
+            )
         spec = ProblemSpec.from_direction(direction, len(exps))
         total = sum(spec.summand_base**a for a in exps)
         if total != spec.power_base**x:
@@ -298,7 +304,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryBudgetExceeded, FactorizationNeeded) as exc:
+    except (MemoryBudgetExceeded, FactorizationNeeded, BaseModulusTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
     except ModchainError as exc:

@@ -151,7 +151,7 @@ def _order_from_multiple(
 
 @lru_cache(maxsize=None)
 def _order_mod_prime_power(b: int, p: int, e: int) -> int:
-    """Multiplicative order of b modulo p^e; b must already be reduced and coprime."""
+    """Multiplicative order of b modulo p^e; b must be coprime to p."""
     pe = p**e
     b %= pe
     if pe == 1:

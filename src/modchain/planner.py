@@ -181,11 +181,10 @@ def validate_chain(chain: Chain, solutions: Iterable[ExactSolution]) -> ChainVal
     direction = chain.direction
     if direction is None:
         raise InvalidInput("chain has no direction tag")
-    step = chain.final
-    m = step.modulus
+    m = chain.final.modulus
     u, v = m.two_exp, m.three_exp
-    o2 = step.orders(2).coprime_cum
-    o3 = step.orders(3).coprime_cum
+    o2 = modified_orders(2, m)[1]
+    o3 = modified_orders(3, m)[1]
 
     hazards: list[HazardEntry] = []
     protected: list[tuple[ExactSolution, str]] = []
@@ -287,17 +286,13 @@ def step_diagnostics(chain: Chain, i: int) -> StepDiagnostics:
         prev_mod = FactoredModulus.from_parts()
     else:
         prev = chain[i - 2]
-        prev2, prev3 = prev.orders(2).loop_cum, prev.orders(3).loop_cum
-        prev_mod = prev.modulus
-    o2, o3 = step.orders(2).loop_cum, step.orders(3).loop_cum
-    if o2 % prev2 != 0 or o3 % prev3 != 0:
-        raise InvalidInput("orders do not divide along the chain")
+        prev2, prev3, prev_mod = prev.loop2, prev.loop3, prev.modulus
     f = step.factor
     return StepDiagnostics(
         index=i,
         factor=f,
-        order2_ratio=o2 // prev2,
-        order3_ratio=o3 // prev3,
+        order2_ratio=step.loop2 // prev2,
+        order3_ratio=step.loop3 // prev3,
         tail2_growth=f.two_exp,
         tail3_growth=f.three_exp,
         unbalanced_eligible=fresh_prime(prev_mod, f) is not None,

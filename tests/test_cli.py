@@ -78,6 +78,15 @@ def test_solve_memory_cap(capsys):
     assert "resource limit" in err
 
 
+def test_solve_base_modulus_too_large(tmp_path, capsys):
+    # 3,000,010 powers of 2 modulo the first modulus, past the base search's bound
+    chain = tmp_path / "wide.chain"
+    chain.write_text("direction: 3=sum2\n2^4 * 7 * 73 * 1000003\n")
+    code, out, err = run(capsys, "solve", "--chain", str(chain), "--n", "3")
+    assert (code, out) == (4, "")
+    assert err.startswith("resource limit: 3000010 distinct summand powers")
+
+
 def test_solve_checkpoint(tmp_path, capsys):
     chain = tmp_path / "short.chain"
     chain.write_text(FAMILY_M2)
@@ -326,6 +335,17 @@ def test_validate_rejects_non_identity(tmp_path, capsys):
                            "--solutions", str(sols))
         assert code == 2
         assert "strictly increasing" in err
+
+
+def test_validate_rejects_negative_exponents(tmp_path, capsys):
+    # 2**-1100 and 3**-800 + 3**-700 both round to 0.0, which once passed as an identity
+    sols = tmp_path / "sols.txt"
+    for line in ("-1100 -800,-700\n", "8 -1,0,1,2,5\n", "-1 0\n"):
+        sols.write_text(line)
+        code, out, err = run(capsys, "validate", "--direction", "2=sum3",
+                             "--solutions", str(sols))
+        assert (code, out) == (2, ""), line
+        assert err.startswith("error:") and "negative exponent" in err, line
 
 
 def test_validate_bad_line(tmp_path, capsys):
