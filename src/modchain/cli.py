@@ -124,11 +124,7 @@ def _write_checkpoint(path: str, step: int, working) -> None:
 def _cmd_solve(args) -> int:
     chain, direction = _load_chain(args)
     spec = ProblemSpec.from_direction(direction, args.n)
-    cfg = SolverConfig(
-        workers=args.workers,
-        memory_cap=args.memory_cap,
-        early_finalize=not args.no_early_finalize,
-    )
+    cfg = SolverConfig(workers=args.workers, memory_cap=args.memory_cap)
 
     callback = None
     if args.checkpoint:
@@ -268,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--memory-cap", type=_positive_int, default=DEFAULT_MEMORY_CAP,
                          help="max multiset entries per lift table side")
-    p_solve.add_argument("--no-early-finalize", action="store_true",
-                         help="settle solutions only at chain termination")
     p_solve.add_argument("--format", choices=("text", "machine"), default="text")
     p_solve.add_argument("--checkpoint", help="rewrite this file with the working set after each step")
     p_solve.set_defaults(func=_cmd_solve)

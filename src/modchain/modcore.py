@@ -64,17 +64,17 @@ class FactoredModulus:
 
     @classmethod
     def from_prime_powers(cls, pairs, check_primality: bool = True) -> "FactoredModulus":
-        """Build from (prime, exp) pairs that may include 2 and 3."""
-        two = three = 0
-        rest = []
+        """Build from (prime, exp) pairs that may include 2 and 3; every prime,
+        2 and 3 too, appears at most once and with an exponent >= 1."""
+        exps: dict[int, int] = {}
         for p, e in pairs:
-            if p == 2:
-                two += e
-            elif p == 3:
-                three += e
-            else:
-                rest.append((p, e))
-        return cls.from_parts(two, three, tuple(rest), check_primality)
+            if e < 1:
+                raise InvalidInput(f"exponent {e} for prime {p} must be >= 1")
+            if p in exps:
+                raise InvalidInput(f"repeated prime {p}")
+            exps[p] = e
+        two, three = exps.pop(2, 0), exps.pop(3, 0)
+        return cls.from_parts(two, three, tuple(exps.items()), check_primality)
 
     def all_prime_powers(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -219,15 +219,3 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:
     step = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) if m2 != g else 0
     r = (r1 + m1 * step) % l
     return r, l
-
-
-def crt_ints(parts) -> tuple[int, int]:
-    """CRT over (residue, modulus) pairs with pairwise coprime moduli."""
-    r, m = 0, 1
-    for r2, m2 in parts:
-        if math.gcd(m, m2) != 1:
-            raise NotCoprime(f"moduli {m} and {m2} share a factor")
-        combined = crt_pair(r, m, r2 % m2, m2)
-        assert combined is not None
-        r, m = combined
-    return r, m

@@ -159,7 +159,12 @@ class LiftPlan:
 class SolverConfig:
     workers: int = 1
     memory_cap: int = DEFAULT_MEMORY_CAP
-    early_finalize: bool = True
+
+    def __post_init__(self):
+        for name in ("workers", "memory_cap"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise InvalidInput(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -901,11 +906,6 @@ def _try_finalize(sol: SolutionModM, spec: ProblemSpec) -> ExactSolution | None:
     return ExactSolution(e, exps)
 
 
-def _all_determinate(sol: SolutionModM, tail: int) -> bool:
-    # exponents sorted: only the largest matters
-    return sol.exponents[-1] < tail
-
-
 def solve_chain(
     spec: ProblemSpec,
     chain: Chain,
@@ -914,9 +914,8 @@ def solve_chain(
 ) -> tuple[list[ExactSolution], RunReport]:
     """Run the whole pipeline and return (integer solutions, run report).
 
-    Stops as soon as every live solution has only determinate exponents. With
-    early_finalize on (default), a solution is settled the moment its own
-    exponents are all pinned instead of riding along to that common point.
+    A class is settled at the step that pins its largest exponent below the
+    tail, and is not lifted further; the run stops once no class is live.
     Raises ChainExhausted (carrying partial results) if the chain ends first.
     """
     cfg = config or SolverConfig()
@@ -932,13 +931,6 @@ def solve_chain(
 
     # a class settles once and its exponents fix x, so no identity is finalised twice
     finals: list[ExactSolution] = []
-
-    def finalize_batch(batch) -> None:
-        for s in batch:
-            ex = _try_finalize(s, spec)
-            if ex is not None:
-                finals.append(ex)
-
     t_base = time.perf_counter()
     working = enumerate_base_solutions(spec, chain[0].modulus)
     report.base_seconds = time.perf_counter() - t_base
@@ -947,35 +939,32 @@ def solve_chain(
     with _lift_pool(cfg.workers) as pool:
         for idx, step in enumerate(chain.steps):
             t_step = time.perf_counter()
+            incoming, balanced, unbalanced = len(working), 0, 0
+            if idx > 0:
+                balanced, unbalanced, working = _lift_step(working, spec, chain[idx - 1], step, cfg, pool)
+            # exponents are sorted: the class is settled once its largest is pinned
+            tail = step.shape(spec.summand_base).tail_len
+            live = []
+            for s in working:
+                if s.exponents[-1] >= tail:
+                    live.append(s)
+                elif (ex := _try_finalize(s, spec)) is not None:
+                    finals.append(ex)
             stats = StepStats(
                 index=step.index,
                 factor=str(step.factor),
-                incoming=len(working),
-                finalized_early=0,
-                balanced=0,
-                unbalanced=0,
-                survivors=0,
-                seconds=0.0,
+                incoming=incoming,
+                finalized_early=len(working) - len(live),
+                balanced=balanced,
+                unbalanced=unbalanced,
+                survivors=len(live),
+                seconds=time.perf_counter() - t_step,
             )
-            if idx > 0:
-                stats.balanced, stats.unbalanced, working = _lift_step(
-                    working, spec, chain[idx - 1], step, cfg, pool
-                )
-
-            tail = step.shape(spec.summand_base).tail_len
-            settled = [s for s in working if _all_determinate(s, tail)]
-            live = [s for s in working if not _all_determinate(s, tail)]
-            # with nothing live, every exponent everywhere is pinned: settle and stop
-            if not live or cfg.early_finalize:
-                finalize_batch(settled)
-                stats.finalized_early = len(settled)
-                working = live
-            stats.survivors = len(working)
-            stats.seconds = time.perf_counter() - t_step
+            working = live
             report.steps.append(stats)
             if step_callback is not None:
                 step_callback(stats, working)
-            if not live:
+            if not working:
                 report.terminated_at = step.index
                 report.complete = True
                 break

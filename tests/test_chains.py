@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -193,6 +194,20 @@ def test_parse_error_line_numbers():
         parse_chain_file("direction: up\n2\n")
     with pytest.raises(InvalidInput, match="duplicate"):
         parse_chain_file("direction: 3=sum2\ndirection: 3=sum2\n2\n")
+
+
+@pytest.mark.parametrize("line, why", [
+    ("2^0", "exponent 0 for prime 2"),
+    ("3^0", "exponent 0 for prime 3"),
+    ("7^0", "exponent 0 for prime 7"),
+    ("5 * 2^0", "exponent 0 for prime 2"),
+    ("2^4 * 2^3", "repeated prime 2"),
+    ("3 * 7 * 3^2", "repeated prime 3"),
+    ("7 * 7", "repeated prime 7"),
+])
+def test_parse_one_rule_for_every_prime(line, why):
+    with pytest.raises(InvalidInput, match=rf"^bad:3: {re.escape(why)}"):
+        parse_chain_file(f"direction: 3=sum2\n2^4 * 7 * 73\n{line}\n", "bad")
 
 
 def test_parse_requires_a_factor():

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata as md
 import re
 import runpy
@@ -98,15 +99,17 @@ def test_solve_checkpoint(tmp_path, capsys):
     assert text.startswith("# step 1\n")
     # the identity is settled early, so only the extraneous class stays live
     assert parse_solutions_text(text, "ckpt") == [(20, (0, 4, 14))]
-
-    code, _, _ = run(capsys, "solve", "--chain", str(chain), "--n", "3",
-                     "--checkpoint", str(ckpt), "--format", "machine",
-                     "--no-early-finalize")
-    assert code == 3
-    pairs = parse_solutions_text(ckpt.read_text(), "ckpt")
-    assert pairs == [(4, (0, 4, 6)), (20, (0, 4, 14))]
     # each step is written to a temporary file and renamed over the checkpoint
     assert sorted(p.name for p in tmp_path.iterdir()) == ["short.chain", "state.txt"]
+
+
+@pytest.mark.parametrize("line", ["2^0", "3^0", "2^4 * 2^3"])
+def test_solve_rejects_degenerate_factor_line(tmp_path, capsys, line):
+    chain = tmp_path / "bad.chain"
+    chain.write_text(f"direction: 3=sum2\n2^4 * 7 * 73\n{line}\n3^3 * 19\n")
+    code, out, err = run(capsys, "solve", "--chain", str(chain), "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {chain}:3: ")
 
 
 def test_solve_needs_some_chain(capsys):
@@ -239,13 +242,6 @@ def test_sweep_script_reads_the_report(tmp_path, monkeypatch, capsys):
     ]
     assert rows[3][5] == "x=8"
     assert all(0 <= float(row[3]) <= float(row[4]) for row in rows)
-
-
-def test_no_early_finalize_flag(capsys):
-    code, out, _ = run(capsys, "solve", "--direction", "3=sum2", "--n", "4",
-                       "--no-early-finalize", "--format", "machine")
-    assert code == 0
-    assert parse_solutions_text(out) == [(3, (0, 1, 3, 4))]
 
 
 # ---------------------------------------------------------------------------
@@ -444,3 +440,20 @@ def test_console_script_entry():
     with open(pyproject, "rb") as f:
         declared = tomllib.load(f).get("project", {}).get("scripts", {})
     _check_console_scripts(declared, f"{pyproject} [project.scripts]")
+
+
+def test_readme_documents_every_option():
+    # every option that a subcommand takes, and nothing more, is named in the
+    # README's "Command line" section
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        opt
+        for p in sub.choices.values()
+        for action in p._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert documented == parsed

@@ -2,13 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from modchain import (
     FactoredModulus,
     InvalidInput,
     NotCoprime,
-    crt_ints,
     crt_pair,
     cycle_shape,
     modified_orders,
@@ -203,30 +202,6 @@ def test_crt_pair_roundtrip(m1, m2, data):
         assert m == m1 * m2 // g
         assert r % m1 == r1 and r % m2 == r2
         assert 0 <= r < m
-
-
-def test_crt_combine_example():
-    assert crt_ints([(1, 2), (2, 3)]) == (5, 6)
-    assert crt_ints([(1, 5), (2, 7), (3, 16)]) == (51, 560)
-
-
-def test_crt_combine_not_coprime():
-    with pytest.raises(NotCoprime):
-        crt_ints([(1, 6), (2, 4)])
-
-
-@settings(max_examples=200)
-@given(st.lists(st.integers(0, 10**4), min_size=1, max_size=4), st.data())
-def test_crt_ints_roundtrip(vals, data):
-    pool = [5, 7, 11, 13, 16, 17, 19, 23, 27, 29]
-    mods = data.draw(
-        st.lists(st.sampled_from(pool), min_size=len(vals), max_size=len(vals), unique=True)
-    )
-    parts = [(v % m, m) for v, m in zip(vals, mods)]
-    r, m = crt_ints(parts)
-    assert m == math.prod(mods)
-    for v, mod in parts:
-        assert r % mod == v
 
 
 def test_tail_matches_valuation():

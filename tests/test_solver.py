@@ -909,14 +909,6 @@ def test_mirror_small(t3):
         assert 2**s.x == sum(3**a for a in s.exponents)
 
 
-def test_early_finalize_equivalence(t2):
-    for n in (4, 5, 6):
-        spec = ProblemSpec(3, 2, n)
-        on, _ = solve_chain(spec, t2)
-        off, _ = solve_chain(spec, t2, SolverConfig(early_finalize=False))
-        assert [(s.x, s.exponents) for s in on] == [(s.x, s.exponents) for s in off]
-
-
 def test_worker_pool_matches_serial(t2):
     spec = ProblemSpec(3, 2, 6)
     serial, rep1 = solve_chain(spec, t2)
@@ -937,6 +929,16 @@ def test_chain_exhausted(t2):
 def test_memory_cap_enforced(t2):
     with pytest.raises(MemoryBudgetExceeded):
         solve_chain(ProblemSpec(3, 2, 6), t2, SolverConfig(memory_cap=2))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"workers": 0}, {"workers": -3}, {"workers": 2.5}, {"workers": True},
+     {"memory_cap": 0}, {"memory_cap": "8"}],
+)
+def test_solver_config_rejects_bad_values(kwargs):
+    with pytest.raises(InvalidInput, match=next(iter(kwargs))):
+        SolverConfig(**kwargs)
 
 
 def test_run_report_counts(t2):
@@ -1024,7 +1026,7 @@ def test_restriction_property():
             per_step.append(list(working))
 
         try:
-            finals, _ = solve_chain(spec, ch, SolverConfig(early_finalize=False), step_callback=grab)
+            finals, _ = solve_chain(spec, ch, step_callback=grab)
         except ChainExhausted as exc:
             finals = exc.solutions
         # each child has one parent, so no step holds a class twice and no
