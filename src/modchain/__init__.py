@@ -39,17 +39,6 @@ from .dlog import (
     power_membership,
     prime_context,
 )
-from .planner import (
-    ChainValidation,
-    ExtraneousWitness,
-    FactorCandidate,
-    HazardEntry,
-    StepDiagnostics,
-    construct_extraneous,
-    search_factors,
-    step_diagnostics,
-    validate_chain,
-)
 from .solver import (
     ExactSolution,
     LiftPlan,
@@ -71,6 +60,29 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# The chain planner is a separate tool that no solve calls, so its names load
+# it on first access (PEP 562) rather than on `import modchain`.
+_PLANNER = frozenset({
+    "ChainValidation",
+    "ExtraneousWitness",
+    "FactorCandidate",
+    "HazardEntry",
+    "StepDiagnostics",
+    "construct_extraneous",
+    "search_factors",
+    "step_diagnostics",
+    "validate_chain",
+})
+
+
+def __getattr__(name: str):
+    if name in _PLANNER:
+        from . import planner
+
+        return getattr(planner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BaseModulusTooLarge",

@@ -27,7 +27,6 @@ from .errors import (
     MemoryBudgetExceeded,
     ModchainError,
 )
-from .planner import search_factors, validate_chain
 from .solver import (
     DEFAULT_MEMORY_CAP,
     ExactSolution,
@@ -183,6 +182,8 @@ def _cmd_verify_table1(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .planner import validate_chain
+
     chain, direction = _load_chain(args)
     try:
         with open(args.solutions) as fh:
@@ -225,6 +226,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .planner import search_factors
+
     candidates = None
     if args.candidates:
         try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import compress
 
 from .errors import FactorizationNeeded, InvalidInput
 
@@ -24,19 +25,40 @@ def _init_small_primes() -> None:
     for i in range(2, math.isqrt(_TRIAL_BOUND) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    _SMALL_PRIMES.extend(i for i in range(2, _TRIAL_BOUND + 1) if sieve[i])
+    _SMALL_PRIMES.extend(compress(range(_TRIAL_BOUND + 1), sieve))
 
 
 _init_small_primes()
 
-# Witnesses proving primality for every n < 3317044064679887385961981
-# (Sorenson & Webster), so Miller-Rabin is deterministic for anything 64-bit.
+# (psi_k, k): psi_k is the smallest strong pseudoprime to each of the first k
+# prime bases, so the first k primes prove primality for every n < psi_k.
+# psi_8 = psi_7 and psi_9 = psi_10 = psi_11, so k = 8, 10 and 11 never help.
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic below ~2^81, strong probable prime above."""
+    """Miller-Rabin with the first k primes as witnesses, for the fewest k
+    proven enough for n; deterministic below psi_13 (about 2^81).
+
+    psi_k in `_MR_BOUNDS` is the smallest strong pseudoprime to the first k
+    prime bases: psi_1..psi_4 from Pomerance, Selfridge & Wagstaff (Math.
+    Comp. 1980), psi_5..psi_8 from Jaeschke (Math. Comp. 1993), psi_9..psi_11
+    from Jiang & Deng (Math. Comp. 2014), psi_12 and psi_13 from Sorenson &
+    Webster (Math. Comp. 2017). Above psi_13 it is a strong probable-prime
+    test with 32 witnesses drawn from a generator seeded by n.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -47,8 +69,10 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if n < _MR_DETERMINISTIC_LIMIT:
-        witnesses = _MR_WITNESSES
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            witnesses = _MR_WITNESSES[:k]
+            break
     else:
         rng = random.Random(n)
         witnesses = tuple(rng.randrange(2, n - 1) for _ in range(32))

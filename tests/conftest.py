@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from modchain import Chain, FactoredModulus, bundled_chain
@@ -122,3 +127,18 @@ def t2():
 @pytest.fixture(scope="session")
 def t3():
     return bundled_chain("t3.chain")
+
+
+@pytest.fixture
+def fresh_python():
+    """Run Python source in a fresh interpreter that imports modchain from this
+    checkout's src/, and return its stdout; a non-zero exit fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(code: str) -> str:
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

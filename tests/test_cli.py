@@ -133,6 +133,16 @@ def test_solve_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_solve_does_not_load_the_planner(fresh_python):
+    out = fresh_python(
+        "import sys\n"
+        "from modchain import cli\n"
+        "code = cli.main(['solve', '--direction', '3=sum2', '--n', '3'])\n"
+        "print(code, 'modchain.planner' in sys.modules)\n"
+    )
+    assert out.splitlines()[-1] == "0 False"
+
+
 SOLVE_N3 = ("solve", "--direction", "3=sum2", "--n", "3")
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -38,6 +39,73 @@ def test_known_primes():
 def test_carmichael_numbers_rejected():
     for n in CARMICHAELS:
         assert not is_probable_prime(n), n
+
+
+# (psi_k, k): the smallest strong pseudoprime to each of the first k prime
+# bases, for the k that is_probable_prime's witness counts switch at
+PSI = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+]
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the Miller-Rabin round for base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_is_prime(n):
+    """Miller-Rabin with all 13 bases: exact below psi_13."""
+    if n < 2:
+        return False
+    if n in PRIME_BASES:
+        return True
+    if any(n % p == 0 for p in PRIME_BASES):
+        return False
+    return all(strong_probable_prime(n, a) for a in PRIME_BASES)
+
+
+@pytest.mark.parametrize("psi, k", PSI)
+def test_each_bound_is_composite(psi, k):
+    # psi_k fools the first k bases, so it needs more witnesses than k
+    assert all(strong_probable_prime(psi, a) for a in PRIME_BASES[:k])
+    assert not is_probable_prime(psi)
+
+
+def test_every_bound_range_agrees_with_the_13_witness_reference():
+    rng = random.Random(2024)
+    bounds = [41, *(psi for psi, _ in PSI)]
+    primes_seen = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        sample = [rng.randrange(lo, hi) | 1 for _ in range(300)]
+        # products of two primes between the range's square roots, the hardest composites
+        roots = (max(43, math.isqrt(lo) + 1), math.isqrt(hi))
+        halves = [p for p in (rng.randrange(*roots) | 1 for _ in range(400))
+                  if reference_is_prime(p)][:20]
+        sample += [p * q for p, q in zip(halves, halves[1:]) if lo <= p * q < hi]
+        for n in sample:
+            assert is_probable_prime(n) == reference_is_prime(n), n
+        primes_seen += sum(map(reference_is_prime, sample))
+    assert primes_seen > 100
 
 
 def test_factorize_known():

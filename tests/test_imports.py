@@ -1,10 +1,13 @@
 """Every name that the package, the scripts, the tests and the benchmark import
-is used, and every private module-level name of the package is read in it."""
+is used, every private module-level name of the package is read in it, and
+`import modchain` loads only the modules a solve runs."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import modchain
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "modchain").glob("*.py"))
@@ -103,3 +106,28 @@ def test_no_unread_private_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path
+
+
+def test_import_loads_only_the_solve_path(fresh_python):
+    out = fresh_python(
+        "import sys\n"
+        "import modchain\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'modchain')))\n"
+    )
+    solve_path = ["chains", "dlog", "errors", "factorint", "modcore", "solver"]
+    assert out.split() == ["modchain", *(f"modchain.{m}" for m in solve_path)]
+
+
+def test_every_public_name_resolves():
+    for name in modchain.__all__:
+        assert getattr(modchain, name) is not None, name
+    namespace: dict = {}
+    exec("from modchain import *", namespace)
+    assert set(modchain.__all__) <= set(namespace)
+    # the planner's names are the planner's own objects, loaded on first use
+    assert namespace["validate_chain"] is modchain.planner.validate_chain
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        modchain.no_such_name
