@@ -70,7 +70,7 @@ class Chain:
         if direction is not None and direction not in DIRECTIONS:
             raise InvalidInput(f"unknown direction {direction!r}")
         steps: list[ChainStep] = []
-        cum = FactoredModulus.from_parts()
+        cum = FactoredModulus.from_prime_powers(())
         exps: dict[int, int] = {}  # exponent of each prime in cum
         loop2 = loop3 = 1
         for i, f in enumerate(factors, start=1):

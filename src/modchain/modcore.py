@@ -31,31 +31,6 @@ class FactoredModulus:
     value: int
 
     @classmethod
-    def from_parts(
-        cls,
-        two_exp: int = 0,
-        three_exp: int = 0,
-        coprime_factors: tuple[tuple[int, int], ...] = (),
-        check_primality: bool = True,
-    ) -> "FactoredModulus":
-        if two_exp < 0 or three_exp < 0:
-            raise InvalidInput("negative exponent in factored modulus")
-        seen = set()
-        for p, e in coprime_factors:
-            if p in (2, 3) or p < 5:
-                raise InvalidInput(f"{p} is not allowed among coprime factors")
-            if e < 1:
-                raise InvalidInput(f"exponent {e} for prime {p} must be >= 1")
-            if p in seen:
-                raise InvalidInput(f"repeated prime {p}")
-            if check_primality and not is_probable_prime(p):
-                raise InvalidInput(f"{p} is not prime")
-            seen.add(p)
-        ordered = tuple(sorted(coprime_factors))
-        value = 2**two_exp * 3**three_exp * factor_value(ordered)
-        return cls(two_exp, three_exp, ordered, value)
-
-    @classmethod
     def from_int(cls, n: int) -> "FactoredModulus":
         """Factor n (small or smooth enough for the factorizer) into a modulus."""
         if n < 1:
@@ -65,16 +40,20 @@ class FactoredModulus:
     @classmethod
     def from_prime_powers(cls, pairs, check_primality: bool = True) -> "FactoredModulus":
         """Build from (prime, exp) pairs that may include 2 and 3; every prime,
-        2 and 3 too, appears at most once and with an exponent >= 1."""
+        2 and 3 too, appears at most once and with an exponent >= 1, and is
+        checked prime unless check_primality is off (p < 2 is always refused)."""
         exps: dict[int, int] = {}
         for p, e in pairs:
             if e < 1:
                 raise InvalidInput(f"exponent {e} for prime {p} must be >= 1")
             if p in exps:
                 raise InvalidInput(f"repeated prime {p}")
+            if p < 2 or check_primality and not is_probable_prime(p):
+                raise InvalidInput(f"{p} is not prime")
             exps[p] = e
         two, three = exps.pop(2, 0), exps.pop(3, 0)
-        return cls.from_parts(two, three, tuple(exps.items()), check_primality)
+        ordered = tuple(sorted(exps.items()))
+        return cls(two, three, ordered, 2**two * 3**three * factor_value(ordered))
 
     def all_prime_powers(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -200,11 +179,12 @@ def modified_orders(b: int, m: FactoredModulus) -> tuple[int, int]:
 
 def cycle_shape(b: int, m: FactoredModulus) -> CycleShape:
     """Tail and loop lengths of powers of b in Z/MZ for b in {2, 3}."""
+    if b not in (2, 3):
+        raise InvalidInput("cycle shapes are defined for bases 2 and 3")
     if m.value < 2:
         raise InvalidInput("cycle shape needs a modulus >= 2")
     tail = m.two_exp if b == 2 else m.three_exp
-    loop, _ = modified_orders(b, m)
-    return CycleShape(b, tail, loop)
+    return CycleShape(b, tail, multiplicative_order(b, _drop_base(m, b)))
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int] | None:

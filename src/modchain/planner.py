@@ -283,7 +283,7 @@ def step_diagnostics(chain: Chain, i: int) -> StepDiagnostics:
     step = chain[i - 1]
     if i == 1:
         prev2 = prev3 = 1
-        prev_mod = FactoredModulus.from_parts()
+        prev_mod = FactoredModulus.from_prime_powers(())
     else:
         prev = chain[i - 2]
         prev2, prev3, prev_mod = prev.loop2, prev.loop3, prev.modulus

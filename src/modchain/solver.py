@@ -17,6 +17,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
@@ -222,7 +223,7 @@ def make_solution(
     modulus: FactoredModulus,
     power_shape: CycleShape,
     summand_shape: CycleShape,
-    pows: dict[int, int] | None = None,
+    pows: dict[int, int] | list[int] | None = None,
     allow_repeats: bool = False,
 ) -> SolutionModM:
     """Checked constructor: validates ranges, the side condition and the congruence.
@@ -264,6 +265,17 @@ def reduce_solution(sol: SolutionModM, spec: ProblemSpec, m: FactoredModulus, in
 def _multiset_count(k: int, m: int) -> int:
     """Number of m-multisets drawn from k items."""
     return math.comb(k + m - 1, m) if k else int(m == 0)
+
+
+def _walk(base: int, prog: Progression, M: int) -> list[int]:
+    """base^e mod M for each member e of prog, one multiply per member."""
+    v = pow(base, prog.start, M)
+    stepmul = pow(base, prog.step, M)
+    out = []
+    for _ in range(prog.count):
+        out.append(v)
+        v = v * stepmul % M
+    return out
 
 
 def _x_by_residue(power_res: list[int], Q: int) -> dict[int, list[tuple[int, int]]]:
@@ -402,12 +414,8 @@ def enumerate_base_solutions(
         )
     M = m1.value
     n = spec.n
-    pow_s = [pow(spec.summand_base, j, M) for j in range(T)]
-    power_res: list[int] = []
-    cur = 1 % M
-    for _ in range(power_shape.num_powers):
-        power_res.append(cur)
-        cur = cur * spec.power_base % M
+    pow_s = _walk(spec.summand_base, Progression(0, 1, T), M)
+    power_res = _walk(spec.power_base, Progression(0, 1, power_shape.num_powers), M)
 
     det = summand_shape.tail_len if side_conditions else 0
     forced = 1 if side_conditions else 0
@@ -446,10 +454,9 @@ def enumerate_base_solutions(
                             f"more than {_BASE_CLASS_CAP} solutions modulo {M}"
                         )
     hits.sort()
-    pows = dict(enumerate(pow_s))
     return [
         make_solution(
-            x, exps, 0, spec, m1, power_shape, summand_shape, pows,
+            x, exps, 0, spec, m1, power_shape, summand_shape, pow_s,
             allow_repeats=not side_conditions,
         )
         for x, exps in hits
@@ -513,15 +520,15 @@ def compute_lift_plan(
     set has s members costs C(s+m-1, m), and the split falls between runs.
     """
     ws = workspace or _StepWorkspace(spec, prev, nxt)
-    exps, memo = sol.exponents, ws._runs
+    exps, memo = sol.exponents, ws.runs
     runs, i, n = [], 0, len(exps)
     while i < n:
         a, j = exps[i], i + 1
         while j < n and exps[j] == a:
             j += 1
-        runs.append(memo.get(a if j == i + 1 else (a, j - i)) or ws.run(a, j - i))
+        runs.append(memo[a if j == i + 1 else (a, j - i)])
         i = j
-    left = ws.left_lifts(sol.x)
+    left = ws.x_lifts[sol.x]
     split = _choose_split(left.count, [count for _, count in runs])
     # a tuple of a list has its exact size; a tuple built from a generator is
     # over-allocated and then shrunk, and CPython's tuple free lists keep
@@ -535,19 +542,22 @@ def compute_lift_plan(
 
 class _StepWorkspace:
     """Everything about lifting from prev's modulus to nxt's that does not
-    depend on one solution: the shapes at both moduli, the step's fresh
+    depend on one solution: the shapes at the next modulus, the step's fresh
     prime and its dlog context (None when the dlog lift does not apply), and
-    a memo of what depends only on one run (e, m) of equal exponents or on x
-    alone, shared by every class of the step.
-
-    The memo is keyed by ints: a canonical exponent e is the start of its
-    own lift set, so (prog.start, m) finds the entry of a plan's run, and a
-    run of one exponent, the common case, is found under e alone. Tables
-    are built only when a lift asks for them, after its memory_cap check, and
-    the memo lives exactly as long as the workspace. So does the last left
-    side of a balanced match, which the next class reuses when its plan has
-    the same left lift set and left runs: a step's classes come sorted by
-    (x, exponents), so such classes are neighbours.
+    _Memo dicts of what depends only on an exponent, a run or x, shared by
+    every class of the step and filled on the first read of a key:
+    - pows[e]: summand_base^e mod M, filled a lift set at a time by tables;
+    - runs[e] (a run of one exponent, the common case) or runs[e, m]:
+      ((lift set of e, m), the run's multiset count). A canonical exponent
+      starts its own lift set, so (prog.start, m) finds a plan's run;
+    - tables[e, m]: the m-multisets of the lift set of e as sorted tuples
+      and their sums mod M, read only after a lift's memory_cap check;
+    - x_lifts[x]: the lift set of x; x_powers[x]: power_base^x' mod M for it.
+    No fill function holds the workspace, so reference counting frees it and
+    its memos when its chunk ends. So goes the last left side of a balanced
+    match, which the next class reuses when its plan has the same left lift
+    set and left runs: a step's classes come sorted by (x, exponents), so
+    such classes are neighbours.
     """
 
     def __init__(self, spec: ProblemSpec, prev: ChainStep, nxt: ChainStep):
@@ -555,65 +565,19 @@ class _StepWorkspace:
             raise NotDivisible("previous modulus must divide the next one")
         self.spec = spec
         self.step = nxt
-        self.M = nxt.modulus.value
-        self.prev_power_shape = prev.shape(spec.power_base)
-        self.prev_summand_shape = prev.shape(spec.summand_base)
+        self.M = M = nxt.modulus.value
         self.power_shape = nxt.shape(spec.power_base)
         self.summand_shape = nxt.shape(spec.summand_base)
         self.prime = fresh_prime(prev.modulus, nxt.factor)
         self.prime_dlog = None if self.prime is None else prime_context(self.prime)
-        self.pows = _Powers(spec.summand_base, self.M)
-        self._runs: dict[int | tuple[int, int], tuple[tuple[Progression, int], int]] = {}
-        self._tables: dict[tuple[int, int], tuple[list[tuple[int, ...]], list[int]]] = {}
-        self._lefts: dict[int, Progression] = {}
-        self._left_powers: dict[int, list[int]] = {}
+        self.pows = pows = _Memo(partial(pow, spec.summand_base, mod=M))
+        self.runs = runs = _Memo(partial(_run, prev.shape(spec.summand_base), self.summand_shape))
+        self.tables = _Memo(partial(_table, runs, pows, spec.summand_base, M))
+        self.x_lifts = x_lifts = _Memo(
+            partial(lift_progression, prev=prev.shape(spec.power_base), nxt=self.power_shape)
+        )
+        self.x_powers = _Memo(lambda x: _walk(spec.power_base, x_lifts[x], M))
         self._left_side: _LeftSide | None = None
-
-    def run(self, e: int, m: int) -> tuple[tuple[Progression, int], int]:
-        """(the run (lift set, m), its multiset count) of m exponents equal to e."""
-        key = e if m == 1 else (e, m)
-        try:
-            return self._runs[key]
-        except KeyError:
-            prog = lift_progression(e, self.prev_summand_shape, self.summand_shape)
-            facts = self._runs[key] = ((prog, m), _multiset_count(prog.count, m))
-            return facts
-
-    def left_lifts(self, x: int) -> Progression:
-        """The lift set of x."""
-        try:
-            return self._lefts[x]
-        except KeyError:
-            prog = self._lefts[x] = lift_progression(x, self.prev_power_shape, self.power_shape)
-            return prog
-
-    def left_powers(self, x: int) -> list[int]:
-        """power_base^x' mod M for each x' in the lift set of x."""
-        try:
-            return self._left_powers[x]
-        except KeyError:
-            vals = self._left_powers[x] = self._walk(self.spec.power_base, self.left_lifts(x))
-            return vals
-
-    def table(self, e: int, m: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """The m-multisets of the lift set of e as sorted tuples, and their
-        sums of summand powers mod M."""
-        try:
-            return self._tables[e, m]
-        except KeyError:
-            (prog, _), _ = self.run(e, m)
-            # lift sets are disjoint and filled whole (a miss fills only a one-member one)
-            if prog.start not in self.pows:
-                self.pows.update(zip(prog.members(), self._walk(self.spec.summand_base, prog)))
-            if m == 1:  # the common case, spelled out for speed
-                combos = [(a,) for a in prog.members()]
-                table = (combos, list(map(self.pows.__getitem__, prog.members())))
-            else:
-                combos = list(combinations_with_replacement(prog.members(), m))
-                sums = [sum(map(self.pows.__getitem__, c)) % self.M for c in combos]
-                table = (combos, sums)
-            self._tables[e, m] = table
-            return table
 
     def left_side(self, left_lifts: Progression, left_runs: tuple) -> _LeftSide:
         """The left side of a balanced match over these x-lifts and runs,
@@ -621,36 +585,44 @@ class _StepWorkspace:
         key = (left_lifts, left_runs)
         side = self._left_side
         if side is None or side.key != key:
-            tables = [self.table(p.start, m) for p, m in left_runs]
-            values = _cross_sums(self.left_powers(left_lifts.start), tables, self.M, sign=-1)
+            tables = [self.tables[p.start, m] for p, m in left_runs]
+            values = _cross_sums(self.x_powers[left_lifts.start], tables, self.M, sign=-1)
             side = self._left_side = _LeftSide(key, tables, values)
         return side
 
-    def _walk(self, base: int, prog: Progression) -> list[int]:
-        """base^e mod M for each member e of prog, one multiply per member."""
-        v = pow(base, prog.start, self.M)
-        stepmul = pow(base, prog.step, self.M)
-        out = []
-        for _ in range(prog.count):
-            out.append(v)
-            v = v * stepmul % self.M
-        return out
 
+class _Memo(dict):
+    """A dict that fills a missing key with make(key) and keeps the value."""
 
-class _Powers(dict):
-    """Summand powers mod M by exponent. table() fills a lift set at a time,
-    one multiply per member; a lookup that misses, the exponent of a pinned
-    class (whose lift set is itself), computes its one power."""
+    __slots__ = ("make",)
 
-    __slots__ = ("base", "M")
-
-    def __init__(self, base: int, M: int):
+    def __init__(self, make):
         super().__init__()
-        self.base, self.M = base, M
+        self.make = make
 
-    def __missing__(self, e: int) -> int:
-        v = self[e] = pow(self.base, e, self.M)
-        return v
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _run(prev: CycleShape, nxt: CycleShape, key) -> tuple[tuple[Progression, int], int]:
+    """((lift set of e, m), multiset count) of the run of m exponents equal
+    to e, keyed by e when m is 1 and by (e, m) otherwise."""
+    e, m = (key, 1) if isinstance(key, int) else key
+    prog = lift_progression(e, prev, nxt)
+    return (prog, m), _multiset_count(prog.count, m)
+
+
+def _table(runs: _Memo, pows: _Memo, base: int, M: int, key: tuple[int, int]):
+    """(the m-multisets of the lift set of e as sorted tuples, their sums of
+    base powers mod M) for key (e, m)."""
+    e, m = key
+    (prog, _), _ = runs[e if m == 1 else key]
+    # lift sets are disjoint and filled whole (a miss fills only a one-member one)
+    if prog.start not in pows:
+        pows.update(zip(prog.members(), _walk(base, prog, M)))
+    combos = list(combinations_with_replacement(prog.members(), m))
+    return combos, [sum(map(pows.__getitem__, c)) % M for c in combos]
 
 
 class _LeftSide:
@@ -707,7 +679,7 @@ def _right_side(sol: SolutionModM, plan: LiftPlan, ordered: int, ws: _StepWorksp
     one sum and no table, and its children keep its exponents."""
     if ordered == 1 and not plan.split:
         return [sum(map(ws.pows.__getitem__, sol.exponents)) % ws.M], [], sol.exponents
-    tables = [ws.table(prog.start, m) for prog, m in plan.runs[plan.split :]]
+    tables = [ws.tables[prog.start, m] for prog, m in plan.runs[plan.split :]]
     return _cross_sums([0], tables, ws.M, sign=+1), tables, ()
 
 

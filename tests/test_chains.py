@@ -204,6 +204,10 @@ def test_parse_error_line_numbers():
     ("2^4 * 2^3", "repeated prime 2"),
     ("3 * 7 * 3^2", "repeated prime 3"),
     ("7 * 7", "repeated prime 7"),
+    ("1", "1 is not prime"),
+    ("0", "0 is not prime"),
+    ("4", "4 is not prime"),
+    ("-7", "-7 is not prime"),
 ])
 def test_parse_one_rule_for_every_prime(line, why):
     with pytest.raises(InvalidInput, match=rf"^bad:3: {re.escape(why)}"):

@@ -56,7 +56,7 @@ def test_composite_coprime_factor_rejected():
 
 
 def test_unit_modulus_allowed_internally():
-    one = FactoredModulus.from_parts()
+    one = FactoredModulus.from_prime_powers(())
     assert one.value == 1
     assert multiplicative_order(2, one) == 1
 
@@ -146,6 +146,12 @@ def test_shape_examples():
     assert cycle_shape(3, fm(5440)).num_powers == 16
     s439 = cycle_shape(2, fm(439))
     assert (s439.tail_len, s439.loop_len) == (0, 73)
+
+
+def test_shape_needs_base_2_or_3():
+    for b in (1, 5, 6):
+        with pytest.raises(InvalidInput, match="bases 2 and 3"):
+            cycle_shape(b, fm(5440))
 
 
 def test_shape_census_brute_force():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from modchain.solver import (
     _cross_sums,
     _left_tuples,
     _lift_chunk,
+    _Memo,
     _multiset_count,
     _StepWorkspace,
     reduce_solution,
@@ -777,6 +779,33 @@ def test_step_workspace_dropped_with_its_step(t2):
     solve_chain(ProblemSpec(3, 2, 8), t2)
     gc.collect()
     assert not [o for o in gc.get_objects() if isinstance(o, _StepWorkspace)]
+
+
+def test_step_workspace_freed_by_reference_counting(t2):
+    # no memo fill holds its workspace, so dropping the last reference frees
+    # a workspace that has lifted classes without the cycle collector
+    spec = ProblemSpec(3, 2, 8)
+    prev, nxt = t2.steps[1], t2.steps[2]
+    sols = live_classes(spec, t2)[2]
+    ws = _StepWorkspace(spec, prev, nxt)
+    gc.disable()
+    try:
+        for sol in sols:
+            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+            lift_balanced(sol, plan, prev, nxt, spec, workspace=ws)
+        assert all((ws.pows, ws.runs, ws.tables, ws.x_lifts, ws.x_powers))
+        ref = weakref.ref(ws)
+        del ws
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_makes_each_key_once():
+    calls = []
+    memo = _Memo(lambda k: calls.append(k) or k * k)
+    assert [memo[k] for k in (3, 1, 3, 3, 1, 2)] == [9, 1, 9, 9, 1, 4]
+    assert calls == [3, 1, 2] and memo == {3: 9, 1: 1, 2: 4}
 
 
 def brute_lift(sol, prev, nxt, spec):
