@@ -14,6 +14,7 @@ condition on the left side.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -68,7 +69,7 @@ class ProblemSpec:
         return "3=sum2" if self.power_base == 3 else "2=sum3"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionModM:
     """One congruence solution: power_base^x = sum of summand_base^a_j in Z/M_iZ.
 
@@ -80,9 +81,6 @@ class SolutionModM:
     exponents: tuple[int, ...]
     modulus_index: int
 
-    def sort_key(self):
-        return (self.x, self.exponents)
-
 
 @dataclass(frozen=True)
 class ExactSolution:
@@ -92,7 +90,7 @@ class ExactSolution:
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Progression:
     """Arithmetic progression start, start+step, ... with `count` members."""
 
@@ -108,7 +106,7 @@ class Progression:
         return range(self.start, self.start + self.step * self.count, self.step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftPlan:
     """How one solution lifts from a modulus to the next one.
 
@@ -116,12 +114,23 @@ class LiftPlan:
     order; the run's new exponents are an m-multiset of its lift set. Lift
     sets of different exponents are disjoint. left_lifts holds the candidate
     new values of x. runs[:split] go to the left (subtracted) side of a
-    balanced match, so the split never separates equal exponents.
+    balanced match, so the split never separates equal exponents. counts
+    (each run's multiset count) and ordered (the product of the lift-set
+    sizes) depend on the runs alone, so they hold at any split and take no
+    part in equality; a plan built without them derives them by _run_sizes.
     """
 
     runs: tuple[tuple[Progression, int], ...]
     left_lifts: Progression
     split: int
+    counts: tuple[int, ...] = field(default=None, compare=False, repr=False)
+    ordered: int = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.counts is None:  # compute_lift_plan passes them from its run walk
+            sizes = [_run_sizes(p.count, m) for p, m in self.runs]
+            object.__setattr__(self, "counts", tuple([count for count, _ in sizes]))
+            object.__setattr__(self, "ordered", math.prod(size for _, size in sizes))
 
     @property
     def chi(self) -> int:
@@ -140,20 +149,12 @@ class LiftPlan:
 
     @property
     def _sizes(self) -> tuple[int, int, int]:
-        """(ordered, left, right) from this plan's runs and split: left and right
-        are the multiset entries of a balanced match's tables, chi counted on
-        the left. ordered, the product of the lift-set sizes, is what chi is
-        weighed against to choose the lift: the multiset product would move some
-        plans to the other lift, and so change StepStats and the digests."""
-        ordered, counts = 1, []
-        for p, m in self.runs:
-            if m == 1:  # most runs: both counts are the lift set's size
-                ordered *= p.count
-                counts.append(p.count)
-            else:
-                ordered *= p.count**m
-                counts.append(math.comb(p.count + m - 1, m))
-        return ordered, self.chi * math.prod(counts[: self.split]), math.prod(counts[self.split :])
+        """(ordered, left, right) at this plan's own split: left and right are the
+        multiset entries of a balanced match's tables, chi counted on the left.
+        ordered is what chi is weighed against to choose the lift; the multiset
+        product would send some plans to the other lift and change the digests."""
+        counts, k = self.counts, self.split
+        return self.ordered, self.chi * math.prod(counts[:k]), math.prod(counts[k:])
 
 
 @dataclass
@@ -265,6 +266,11 @@ def reduce_solution(sol: SolutionModM, spec: ProblemSpec, m: FactoredModulus, in
 def _multiset_count(k: int, m: int) -> int:
     """Number of m-multisets drawn from k items."""
     return math.comb(k + m - 1, m) if k else int(m == 0)
+
+
+def _run_sizes(k: int, m: int) -> tuple[int, int]:
+    """(multiset count, ordered count) of a run of m exponents with k lifts each."""
+    return _multiset_count(k, m), k**m
 
 
 def _walk(base: int, prog: Progression, M: int) -> list[int]:
@@ -513,12 +519,10 @@ def compute_lift_plan(
     spec: ProblemSpec,
     workspace: _StepWorkspace | None = None,
 ) -> LiftPlan:
-    """The runs of equal exponents with their lift sets, the left lift set
-    for x, and the split point.
-
-    The split balances multiset counts: a run of m equal exponents whose lift
-    set has s members costs C(s+m-1, m), and the split falls between runs.
-    """
+    """The runs of equal exponents with their lift sets and sizes, the left
+    lift set for x, and the split point, which balances multiset counts: a
+    run of m equal exponents whose lift set has s members costs C(s+m-1, m),
+    and the split falls between runs."""
     ws = workspace or _StepWorkspace(spec, prev, nxt)
     exps, memo = sol.exponents, ws.runs
     runs, i, n = [], 0, len(exps)
@@ -529,11 +533,13 @@ def compute_lift_plan(
         runs.append(memo[a if j == i + 1 else (a, j - i)])
         i = j
     left = ws.x_lifts[sol.x]
-    split = _choose_split(left.count, [count for _, count in runs])
     # a tuple of a list has its exact size; a tuple built from a generator is
     # over-allocated and then shrunk, and CPython's tuple free lists keep
     # those blocks (about 1 MB more peak RSS on 3=sum2 n=14)
-    return LiftPlan(tuple([run for run, _ in runs]), left, split)
+    counts = tuple([count for _, count, _ in runs])
+    split = _choose_split(left.count, counts)
+    ordered = math.prod([size for _, _, size in runs])
+    return LiftPlan(tuple([run for run, _, _ in runs]), left, split, counts, ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +554,8 @@ class _StepWorkspace:
     every class of the step and filled on the first read of a key:
     - pows[e]: summand_base^e mod M, filled a lift set at a time by tables;
     - runs[e] (a run of one exponent, the common case) or runs[e, m]:
-      ((lift set of e, m), the run's multiset count). A canonical exponent
-      starts its own lift set, so (prog.start, m) finds a plan's run;
+      ((lift set of e, m), multiset count, ordered count). A canonical
+      exponent starts its own lift set, so (prog.start, m) finds a plan's run;
     - tables[e, m]: the m-multisets of the lift set of e as sorted tuples
       and their sums mod M, read only after a lift's memory_cap check;
     - x_lifts[x]: the lift set of x; x_powers[x]: power_base^x' mod M for it.
@@ -605,19 +611,19 @@ class _Memo(dict):
         return value
 
 
-def _run(prev: CycleShape, nxt: CycleShape, key) -> tuple[tuple[Progression, int], int]:
-    """((lift set of e, m), multiset count) of the run of m exponents equal
-    to e, keyed by e when m is 1 and by (e, m) otherwise."""
+def _run(prev: CycleShape, nxt: CycleShape, key) -> tuple[tuple[Progression, int], int, int]:
+    """((lift set of e, m), multiset count, ordered count) of the run of m
+    exponents equal to e, keyed by e when m is 1 and by (e, m) otherwise."""
     e, m = (key, 1) if isinstance(key, int) else key
     prog = lift_progression(e, prev, nxt)
-    return (prog, m), _multiset_count(prog.count, m)
+    return ((prog, m), *_run_sizes(prog.count, m))
 
 
 def _table(runs: _Memo, pows: _Memo, base: int, M: int, key: tuple[int, int]):
     """(the m-multisets of the lift set of e as sorted tuples, their sums of
     base powers mod M) for key (e, m)."""
     e, m = key
-    (prog, _), _ = runs[e if m == 1 else key]
+    (prog, _), _, _ = runs[e if m == 1 else key]
     # lift sets are disjoint and filled whole (a miss fills only a one-member one)
     if prog.start not in pows:
         pows.update(zip(prog.members(), _walk(base, prog, M)))
@@ -628,25 +634,26 @@ def _table(runs: _Memo, pows: _Memo, base: int, M: int, key: tuple[int, int]):
 class _LeftSide:
     """P^x' minus one multiset sum per left run, for every x' and choice of
     multisets, as _cross_sums lays them out, with a set of the values for
-    probing and, built on the first match, the indices of each value."""
+    probing."""
 
-    __slots__ = ("key", "tables", "values", "lookup", "_at")
+    __slots__ = ("key", "tables", "values", "lookup")
 
     def __init__(self, key, tables, values: list[int]):
         self.key = key  # (left lift set of x, left runs)
         self.tables = tables
         self.values = values
         self.lookup = set(values)
-        self._at: dict[int, list[int]] | None = None
 
     def indices(self, v: int) -> list[int]:
-        """The indices of a value in values, ascending."""
-        if self._at is None:
-            at: dict[int, list[int]] = {}
-            for i, u in enumerate(self.values):
-                at.setdefault(u, []).append(i)
-            self._at = at
-        return self._at[v]
+        """The indices of a value in values, ascending, found by list.index
+        scans in C: matches are few, so this beats indexing every value."""
+        values, out, i = self.values, [], -1
+        try:
+            while True:
+                i = values.index(v, i + 1)
+                out.append(i)
+        except ValueError:
+            return out
 
 
 def _cross_sums(vals: list[int], tables, M: int, sign: int) -> list[int]:
@@ -804,7 +811,7 @@ def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
     out: list[SolutionModM] = []
     for sol in chunk:
         plan = compute_lift_plan(sol, prev, nxt, spec, ws)
-        if ws.prime is not None and plan.chi > plan._sizes[0]:
+        if ws.prime is not None and plan.chi > plan.ordered:
             unbalanced += 1
             out.extend(lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws))
         else:
@@ -834,7 +841,7 @@ def _lift_step(
 ) -> tuple[int, int, list[SolutionModM]]:
     """Lift every solution in `working` from prev's modulus to nxt's.
 
-    Returns (balanced lifts, unbalanced lifts, children sorted by sort_key).
+    Returns (balanced lifts, unbalanced lifts, children sorted by (x, exponents)).
     Children of different parents never coincide: every lifted exponent
     reduces to its parent's exponent, so each child reduces to exactly one
     parent, and `working` holds distinct classes.
@@ -846,7 +853,7 @@ def _lift_step(
     else:
         results = [_lift_chunk((spec, prev, nxt, working, cfg.memory_cap))]
     children = [s for _, _, out in results for s in out]
-    children.sort(key=SolutionModM.sort_key)
+    children.sort(key=operator.attrgetter("x", "exponents"))
     return sum(r[0] for r in results), sum(r[1] for r in results), children
 
 

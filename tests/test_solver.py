@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import random
 import time
 import weakref
@@ -19,6 +20,7 @@ from modchain import (
     NotDivisible,
     ProblemSpec,
     Progression,
+    SolutionModM,
     SolverConfig,
     UnbalancedInapplicable,
     bit_count_table,
@@ -678,7 +680,8 @@ def test_memory_cap_counts_multisets():
 def test_plan_sizes_follow_the_plans_own_split():
     # the ordered product and both table sizes come from a plan's own runs
     # and split: at every legal split, whether compute_lift_plan, LiftPlan
-    # or dataclasses.replace built the plan, they equal a brute-force count
+    # or dataclasses.replace built the plan, they equal a brute-force count;
+    # the run walk's counts and ordered product take no part in equality
     plans = moved = 0
     for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 40):
         for sol in sols:
@@ -692,10 +695,55 @@ def test_plan_sizes_follow_the_plans_own_split():
                 assert dataclasses.replace(plan, split=k)._sizes == want, (sol, k)
                 moved += want != sizes[plan.split]
             assert plan._sizes == sizes[plan.split], sol
+            assert (plan.counts, plan.ordered) == (tuple(counts), ordered), sol
+            rebuilt = LiftPlan(plan.runs, plan.left_lifts, plan.split)
+            assert plan == rebuilt and hash(plan) == hash(rebuilt), sol
+            assert plan == LiftPlan(plan.runs, plan.left_lifts, plan.split, (), 0), sol
             # a plan chi outruns, which _lift_chunk sends to the dlog lift, splits at 0
             assert plan.chi <= ordered or plan.split == 0, sol
             plans += 1
     assert plans >= 300 and moved >= 300, (plans, moved)
+
+
+def test_records_are_slotted_and_frozen():
+    # the per-class records carry no instance dict, stay immutable, and a
+    # class survives the pickle round trip that sends it to a pool worker
+    sol = SolutionModM(5, (0, 1, 3), 2)
+    prog = Progression(1, 2, 3)
+    plan = LiftPlan(((prog, 2),), Progression(0, 4, 2), 1)
+    for record, name in ((sol, "x"), (sol, "exponents"), (prog, "count"), (plan, "split"), (plan, "counts")):
+        assert not hasattr(record, "__dict__"), type(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+    for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+        back = pickle.loads(pickle.dumps(sol, protocol))
+        assert back == sol and back is not sol, protocol
+        assert (back.x, back.exponents, back.modulus_index) == (5, (0, 1, 3), 2), protocol
+
+
+def test_left_side_indices_match_a_scan(t2):
+    # indices gives every index of a value in a left side, ascending, on the
+    # real left sides of t2 steps 2-4, many of which hold a value twice
+    spec = ProblemSpec(3, 2, 10)
+    per_step = live_classes(spec, t2)
+    sides = repeated = 0
+    for k in (1, 2, 3):  # the classes step k leaves, lifted to step k + 1
+        prev, nxt = t2.steps[k - 1], t2.steps[k]
+        ws, seen = _StepWorkspace(spec, prev, nxt), set()
+        for sol in per_step[k]:
+            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+            side = ws.left_side(plan.left_lifts, plan.runs[: plan.split])
+            if side.key in seen:
+                continue
+            seen.add(side.key)
+            want: dict[int, list[int]] = {}
+            for i, v in enumerate(side.values):
+                want.setdefault(v, []).append(i)
+            for v, at in want.items():
+                assert side.indices(v) == at, (sol, v)
+            sides += 1
+            repeated += len(want) < len(side.values)
+    assert sides >= 100 and repeated >= 30, (sides, repeated)
 
 
 def assert_shared_workspace_agrees(sols, prev, nxt, spec):
