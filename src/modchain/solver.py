@@ -232,16 +232,32 @@ def make_solution(
     allow_repeats lifts the no-repeated-determinate-exponent rule for raw
     census enumerations, which count multisets.
     """
-    if len(exponents) != spec.n:
-        raise InvalidInput(f"expected {spec.n} exponents, got {len(exponents)}")
     if list(exponents) != sorted(exponents):
         raise InvalidInput("exponents must be sorted")
+    if not allow_repeats and not _distinctness_ok(exponents, summand_shape.tail_len):
+        raise InvalidInput("repeated determinate exponent")
+    return _checked(x, exponents, modulus_index, spec, modulus, power_shape, summand_shape, pows)
+
+
+def _checked(
+    x: int,
+    exponents: tuple[int, ...],
+    modulus_index: int,
+    spec: ProblemSpec,
+    modulus: FactoredModulus,
+    power_shape: CycleShape,
+    summand_shape: CycleShape,
+    pows: dict[int, int] | list[int] | None,
+) -> SolutionModM:
+    """The solution, once its length, the ranges of x and of the exponents
+    and the congruence hold; the caller has sorted the exponents and applied
+    the distinctness rule. P^x is taken by pow, never from a lift's tables."""
+    if len(exponents) != spec.n:
+        raise InvalidInput(f"expected {spec.n} exponents, got {len(exponents)}")
     if not 0 <= x < power_shape.num_powers:
         raise InvalidInput(f"x={x} outside canonical range [0, {power_shape.num_powers})")
     if exponents and not 0 <= exponents[0] <= exponents[-1] < summand_shape.num_powers:
         raise InvalidInput("exponent outside canonical range")
-    if not allow_repeats and not _distinctness_ok(exponents, summand_shape.tail_len):
-        raise InvalidInput("repeated determinate exponent")
     M = modulus.value
     if pows is None:
         total = sum(pow(spec.summand_base, a, M) for a in exponents) % M
@@ -250,13 +266,6 @@ def make_solution(
     if pow(spec.power_base, x, M) != total:
         raise InvalidInput(f"congruence fails mod {M} for x={x}, exponents={exponents}")
     return SolutionModM(x, exponents, modulus_index)
-
-
-def reduce_solution(sol: SolutionModM, spec: ProblemSpec, m: FactoredModulus, index: int = 0) -> SolutionModM:
-    """Canonical form of a solution pushed down to a smaller modulus m."""
-    ps, ss = _shapes(spec, m)
-    exps = tuple(sorted(ss.reduce_exponent(a) for a in sol.exponents))
-    return SolutionModM(ps.reduce_exponent(sol.x), exps, index)
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +534,22 @@ def compute_lift_plan(
     and the split falls between runs."""
     ws = workspace or _StepWorkspace(spec, prev, nxt)
     exps, memo = sol.exponents, ws.runs
-    runs, i, n = [], 0, len(exps)
+    runs, counts, ordered, i, n = [], [], 1, 0, len(exps)
     while i < n:
         a, j = exps[i], i + 1
         while j < n and exps[j] == a:
             j += 1
-        runs.append(memo[a if j == i + 1 else (a, j - i)])
+        run, count, size = memo[a if j == i + 1 else (a, j - i)]
+        runs.append(run)
+        counts.append(count)
+        ordered *= size
         i = j
     left = ws.x_lifts[sol.x]
     # a tuple of a list has its exact size; a tuple built from a generator is
     # over-allocated and then shrunk, and CPython's tuple free lists keep
     # those blocks (about 1 MB more peak RSS on 3=sum2 n=14)
-    counts = tuple([count for _, count, _ in runs])
-    split = _choose_split(left.count, counts)
-    ordered = math.prod([size for _, _, size in runs])
-    return LiftPlan(tuple([run for run, _, _ in runs]), left, split, counts, ordered)
+    counts = tuple(counts)
+    return LiftPlan(tuple(runs), left, _choose_split(left.count, counts), counts, ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +654,17 @@ class _LeftSide:
         self.values = values
         self.lookup = set(values)
 
-    def indices(self, v: int) -> list[int]:
-        """The indices of a value in values, ascending, found by list.index
-        scans in C: matches are few, so this beats indexing every value."""
-        values, out, i = self.values, [], -1
-        try:
-            while True:
-                i = values.index(v, i + 1)
-                out.append(i)
-        except ValueError:
-            return out
+
+def _indices(values: list[int], v: int) -> list[int]:
+    """The indices of a value in values, ascending, found by list.index
+    scans in C: matches are few, so this beats indexing every value."""
+    out, i = [], -1
+    try:
+        while True:
+            i = values.index(v, i + 1)
+            out.append(i)
+    except ValueError:
+        return out
 
 
 def _cross_sums(vals: list[int], tables, M: int, sign: int) -> list[int]:
@@ -681,13 +692,16 @@ def _decode(index: int, tables) -> tuple[int, tuple[int, ...]]:
 def _right_side(sol: SolutionModM, plan: LiftPlan, ordered: int, ws: _StepWorkspace):
     """(sums, tables, shared exponents) over the runs from plan.split on: the
     sum mod M of every choice of one multiset per run, as _cross_sums lays
-    them out, and the exponents that every choice adds to _decode's. A
-    pinned plan (ordered == 1: every lift set has one member) split at 0 has
-    one sum and no table, and its children keep its exponents."""
+    them out, and the exponents that every choice adds to _decode's. The
+    sums start from the first table's own list, the layout _cross_sums
+    gives from [0], so a one-table side is the memo's list and is only read.
+    A pinned plan (ordered == 1: every lift set has one member) split at 0
+    has one sum and no table, and its children keep its exponents."""
     if ordered == 1 and not plan.split:
         return [sum(map(ws.pows.__getitem__, sol.exponents)) % ws.M], [], sol.exponents
     tables = [ws.tables[prog.start, m] for prog, m in plan.runs[plan.split :]]
-    return _cross_sums([0], tables, ws.M, sign=+1), tables, ()
+    first = tables[0][1] if tables else [0]  # [0]: a hand-built plan split after its last run
+    return _cross_sums(first, tables[1:], ws.M, sign=+1), tables, ()
 
 
 def _emit(
@@ -697,12 +711,14 @@ def _emit(
     ws: _StepWorkspace,
     index: int,
 ) -> None:
+    """Append the child (x, exps) to out, sorted once and checked once: a
+    child that repeats a determinate exponent is dropped, and one that fails
+    _checked raises InvalidInput."""
     exps = tuple(sorted(exps))
-    if not _distinctness_ok(exps, ws.summand_shape.tail_len):
-        return
-    out.append(make_solution(
-        x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape, ws.pows,
-    ))
+    if _distinctness_ok(exps, ws.summand_shape.tail_len):
+        out.append(_checked(
+            x, exps, index, ws.spec, ws.step.modulus, ws.power_shape, ws.summand_shape, ws.pows,
+        ))
 
 
 def lift_balanced(
@@ -723,7 +739,9 @@ def lift_balanced(
     The tables hold values only; the exponents of the rare matches are
     decoded from their table indices. The left side comes from the
     workspace, which keeps the last one built, so only the right side is
-    built per class and probed against it, first in C for any match at all.
+    built per class. The values the two sides share are found in C, by
+    intersecting the left side's set with the right side, and each shared
+    value's indices on either side by list.index scans, also in C.
     A pinned plan (every lift set has one member) has no right table: its
     one summand sum is probed against the x-lifts alone, and its children
     keep its exponents.
@@ -738,15 +756,12 @@ def lift_balanced(
     right, right_tables, fixed = _right_side(sol, plan, ordered, ws)
 
     out: list[SolutionModM] = []
-    lookup = left.lookup
-    if lookup.isdisjoint(right):
-        return out
     xs = plan.left_lifts.members()
-    for j, v in enumerate(right):
-        if v in lookup:
+    for v in left.lookup.intersection(right):
+        heads = [_decode(i, left.tables) for i in _indices(left.values, v)]
+        for j in _indices(right, v):
             tail = fixed + _decode(j, right_tables)[1]
-            for i in left.indices(v):
-                xi, head = _decode(i, left.tables)
+            for xi, head in heads:
                 _emit(out, xs[xi], head + tail, ws, sol.modulus_index + 1)
     return out
 
@@ -811,7 +826,7 @@ def _lift_chunk(args) -> tuple[int, int, list[SolutionModM]]:
     out: list[SolutionModM] = []
     for sol in chunk:
         plan = compute_lift_plan(sol, prev, nxt, spec, ws)
-        if ws.prime is not None and plan.chi > plan.ordered:
+        if ws.prime is not None and plan.left_lifts.count > plan.ordered:
             unbalanced += 1
             out.extend(lift_unbalanced(sol, plan, prev, nxt, spec, memory_cap, ws))
         else:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -42,12 +43,13 @@ from modchain.solver import (
     _base_plan,
     _choose_split,
     _cross_sums,
+    _indices,
     _left_tuples,
     _lift_chunk,
     _Memo,
     _multiset_count,
+    _right_side,
     _StepWorkspace,
-    reduce_solution,
 )
 
 from conftest import FAMILY_FACTORS
@@ -491,6 +493,25 @@ def test_balanced_memory_cap():
         lift_balanced(sol, plan, ch.steps[0], ch.steps[1], spec, memory_cap=100)
 
 
+@pytest.mark.parametrize("lift", [lift_balanced, lift_unbalanced])
+def test_lift_refuses_a_child_that_fails_the_congruence(lift):
+    # each child is checked once, against pow(P, x, M) and the step's pows
+    # memo; the tables a warm workspace already holds still find the true
+    # children, so one corrupted pows entry must make the lift raise
+    ch = chain_of(439, 1753)  # 1753 is a fresh prime: both lifts apply
+    spec = ProblemSpec(3, 2, 12)
+    prev, nxt = ch.steps
+    sol = sol_at(ch, 1, *BASE_439, spec)
+    ws = _StepWorkspace(spec, prev, nxt)
+    plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+    children = lift(sol, plan, prev, nxt, spec, workspace=ws)
+    assert {(s.x, s.exponents) for s in children} == LIFTS_439_1753
+    a = children[0].exponents[-1]
+    ws.pows[a] = (ws.pows[a] + 1) % ws.M
+    with pytest.raises(InvalidInput, match="congruence fails"):
+        lift(sol, plan, prev, nxt, spec, workspace=ws)
+
+
 def test_case_agreement():
     # wherever the dlog route is legal at all, it must produce exactly the
     # meet-in-the-middle answer
@@ -722,7 +743,7 @@ def test_records_are_slotted_and_frozen():
 
 
 def test_left_side_indices_match_a_scan(t2):
-    # indices gives every index of a value in a left side, ascending, on the
+    # _indices gives every index of a value in a left side, ascending, on the
     # real left sides of t2 steps 2-4, many of which hold a value twice
     spec = ProblemSpec(3, 2, 10)
     per_step = live_classes(spec, t2)
@@ -740,7 +761,7 @@ def test_left_side_indices_match_a_scan(t2):
             for i, v in enumerate(side.values):
                 want.setdefault(v, []).append(i)
             for v, at in want.items():
-                assert side.indices(v) == at, (sol, v)
+                assert _indices(side.values, v) == at, (sol, v)
             sides += 1
             repeated += len(want) < len(side.values)
     assert sides >= 100 and repeated >= 30, (sides, repeated)
@@ -944,6 +965,31 @@ def test_pinned_dlog_step_builds_no_tables(t3, monkeypatch):
     assert (len(sols), balanced, unbalanced, len(calls)) == (29, 0, 29, 0)
 
 
+def test_balanced_steps_lift_as_brute_force(t2):
+    # t2's steps 2-4 are balanced and pin no class, so every child is matched
+    # against a right side built from the step's tables; many right sides
+    # hold a value more than once, and the list.index scans behind the
+    # match must find each of its indices
+    spec = ProblemSpec(3, 2, 10)
+    per_step = live_classes(spec, t2)
+    repeated = matched = 0
+    for i in (2, 3, 4):
+        prev, nxt, sols = t2.steps[i - 2], t2.steps[i - 1], per_step[i - 1]
+        ws = _StepWorkspace(spec, prev, nxt)
+        assert ws.prime is None, i
+        for sol in sols:
+            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+            assert plan.ordered > 1, sol
+            right = _right_side(sol, plan, plan.ordered, ws)[0]
+            twice = {v for v, k in collections.Counter(right).items() if k > 1}
+            for v in twice:
+                assert _indices(right, v) == [j for j, w in enumerate(right) if w == v], (sol, v)
+            repeated += bool(twice)
+            matched += bool(twice & ws.left_side(plan.left_lifts, plan.runs[: plan.split]).lookup)
+        assert assert_lifts_as_brute_force(sols, prev, nxt, spec) == (0, 0), i
+    assert repeated >= 100 and matched >= 5, (repeated, matched)
+
+
 # ---------------------------------------------------------------------------
 # whole-chain behaviour
 
@@ -1091,6 +1137,13 @@ def test_completeness_on_tiny_chains():
         got = {(s.x, s.exponents) for s in modular_solutions(spec, ch)}
         want = brute_modular(spec, ch)
         assert got == want, (n, [s.factor.value for s in ch.steps])
+
+
+def reduce_solution(sol, spec, m, index):
+    """Canonical form of a solution pushed down to a smaller modulus m."""
+    ps, ss = cycle_shape(spec.power_base, m), cycle_shape(spec.summand_base, m)
+    exps = tuple(sorted(ss.reduce_exponent(a) for a in sol.exponents))
+    return SolutionModM(ps.reduce_exponent(sol.x), exps, index)
 
 
 def test_restriction_property():
