@@ -22,7 +22,6 @@ Examples:
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -73,9 +72,7 @@ def case_digests(direction: str, n: int, workers: int = 1) -> dict:
     solutions, report = solve_chain(
         spec, bundled_chain(BUNDLED[direction]), SolverConfig(workers=workers), grab
     )
-    stats = [
-        {k: v for k, v in dataclasses.asdict(s).items() if k != "seconds"} for s in report.steps
-    ]
+    stats = [{k: v for k, v in s._asdict().items() if k != "seconds"} for s in report.steps]
     outcome = [report.complete, report.terminated_at, report.base_count, report.parity_shortcut]
     return {
         "working": working,

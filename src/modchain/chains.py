@@ -15,8 +15,7 @@ direction header records which equation the chain was designed for:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .errors import InvalidInput
 from .modcore import CycleShape, FactoredModulus, _order_mod_prime_power
@@ -44,13 +43,12 @@ def fresh_prime(prev_modulus: FactoredModulus, factor: FactoredModulus) -> int |
     return None
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    index: int  # 1-based, matching the usual table numbering
-    factor: FactoredModulus
-    modulus: FactoredModulus
-    loop2: int  # loop length of the powers of 2 in Z/MZ, M = modulus
-    loop3: int  # the same for the powers of 3
+class ChainStep(namedtuple("ChainStep", "index factor modulus loop2 loop3")):
+    """Step index (1-based, matching the usual table numbering), its factor,
+    the cumulative modulus M, and the loop lengths of the powers of 2 and of
+    3 in Z/MZ."""
+
+    __slots__ = ()
 
     def shape(self, b: int) -> CycleShape:
         if b == 2:
@@ -110,11 +108,13 @@ class Chain:
 # chain file grammar
 
 
-@dataclass(frozen=True)
-class ChainFile:
-    """Parsed chain file: comment/blank lines are kept verbatim, in order."""
+class ChainFile(namedtuple("ChainFile", "entries")):
+    """Parsed chain file: comment/blank lines are kept verbatim, in order.
 
-    entries: tuple[tuple, ...]  # ("comment", text) | ("direction", d) | ("factor", FactoredModulus)
+    entries holds ("comment", text), ("direction", d) and ("factor",
+    FactoredModulus) pairs."""
+
+    __slots__ = ()
 
     @property
     def direction(self) -> str | None:
@@ -191,6 +191,8 @@ def load_chain_file(path: str) -> ChainFile:
 
 
 def bundled_chain_text(name: str) -> str:
+    from importlib import resources  # it imports typing, so not on `import modchain`
+
     return (resources.files("modchain") / "tables" / name).read_text(encoding="utf-8")
 
 

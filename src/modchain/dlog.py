@@ -19,9 +19,8 @@ few small tables per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import InvalidInput, MemoryBudgetExceeded
 from .factorint import factorize, is_probable_prime
@@ -37,16 +36,15 @@ _BLOCK_TABLE = 256
 _MAX_BSGS_TABLE = 1 << 26
 
 
-@dataclass(frozen=True)
-class DlogResult:
+class DlogResult(namedtuple("DlogResult", "residue_class class_modulus")):
     """An exponent class e = residue_class (mod class_modulus) with base^e = target."""
 
-    residue_class: int
-    class_modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.residue_class < self.class_modulus:
+    def __new__(cls, residue_class: int, class_modulus: int):
+        if not 0 <= residue_class < class_modulus:
             raise InvalidInput("residue class out of range")
+        return tuple.__new__(cls, (residue_class, class_modulus))
 
 
 @lru_cache(maxsize=4096)
@@ -104,21 +102,17 @@ class _DigitTable:
         raise AssertionError("unreachable: z is in <g>")
 
 
-class _Block(NamedTuple):
-    """c base-q digits of a part, from digit offset o on; e is the part's exponent."""
-
-    power: int  # q^(e - o - c): maps the remainder into the block's subgroup
-    scale: int  # q^o
-    undo: int | None  # h^-(q^o), strips the block's digits off the remainder; None if last
-    table: _DigitTable
-
-
-class _Part(NamedTuple):
-    """The q^e part of ord_m(b): s^cofactor lies in <h>, h = b^cofactor, when s is in <b>."""
-
-    cofactor: int  # ord_m(b) / q^e
-    crt: int  # 1 mod q^e and 0 mod ord_m(b) / q^e
-    blocks: tuple[_Block, ...]
+# c base-q digits of a part, from digit offset o on; e is the part's exponent.
+# power: q^(e - o - c), maps the remainder into the block's subgroup
+# scale: q^o
+# undo: h^-(q^o), strips the block's digits off the remainder; None if last
+# table: the block's _DigitTable
+_Block = namedtuple("_Block", "power scale undo table")
+# The q^e part of ord_m(b): s^cofactor lies in <h>, h = b^cofactor, when s is in <b>.
+# cofactor: ord_m(b) / q^e
+# crt: 1 mod q^e and 0 mod ord_m(b) / q^e
+# blocks: the part's _Blocks, in digit order
+_Part = namedtuple("_Part", "cofactor crt blocks")
 
 
 class _SubgroupLog:

@@ -10,25 +10,21 @@ those two numbers, so they are computed here and cached aggressively.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidInput, NotCoprime
 from .factorint import factor_value, factorize, is_probable_prime
 
 
-@dataclass(frozen=True)
-class FactoredModulus:
+class FactoredModulus(namedtuple("FactoredModulus", "two_exp three_exp coprime_factors value")):
     """A positive integer M = 2^two_exp * 3^three_exp * prod(p^e) with p >= 5 prime.
 
     value caches the expanded product. The unit modulus (value 1) is allowed
     so degenerate rings behave uniformly.
     """
 
-    two_exp: int
-    three_exp: int
-    coprime_factors: tuple[tuple[int, int], ...]
-    value: int
+    __slots__ = ()
 
     @classmethod
     def from_int(cls, n: int) -> "FactoredModulus":
@@ -91,13 +87,10 @@ class FactoredModulus:
         return " * ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class CycleShape:
+class CycleShape(namedtuple("CycleShape", "base tail_len loop_len")):
     """Tail and loop lengths of the orbit 1, b, b^2, ... in Z/MZ."""
 
-    base: int
-    tail_len: int
-    loop_len: int
+    __slots__ = ()
 
     @property
     def num_powers(self) -> int:

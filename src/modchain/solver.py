@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import operator
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 
@@ -45,19 +45,17 @@ _BASE_TABLE_CAP = 1 << 16
 _BASE_CLASS_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(namedtuple("ProblemSpec", "power_base summand_base n")):
     """Which equation is being solved: power_base^x = sum of n summand_base powers."""
 
-    power_base: int
-    summand_base: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if {self.power_base, self.summand_base} != {2, 3}:
+    def __new__(cls, power_base: int, summand_base: int, n: int):
+        if {power_base, summand_base} != {2, 3}:
             raise InvalidInput("power and summand bases must be 2 and 3 in some order")
-        if self.n < 1:
+        if n < 1:
             raise InvalidInput("n must be >= 1")
+        return tuple.__new__(cls, (power_base, summand_base, n))
 
     @classmethod
     def from_direction(cls, direction: str, n: int) -> "ProblemSpec":
@@ -69,45 +67,32 @@ class ProblemSpec:
         return "3=sum2" if self.power_base == 3 else "2=sum3"
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionModM:
-    """One congruence solution: power_base^x = sum of summand_base^a_j in Z/M_iZ.
+SolutionModM = namedtuple("SolutionModM", "x exponents modulus_index")
+SolutionModM.__doc__ = """One congruence solution: power_base^x = sum of summand_base^a_j in Z/M_iZ.
 
-    Exponents are sorted non-decreasingly; equal exponents are legal only
-    while indeterminate (their lifts may separate later).
-    """
+Exponents are sorted non-decreasingly; equal exponents are legal only
+while indeterminate (their lifts may separate later).
+"""
 
-    x: int
-    exponents: tuple[int, ...]
-    modulus_index: int
+ExactSolution = namedtuple("ExactSolution", "x exponents")
+ExactSolution.__doc__ = "An integer identity power_base^x = sum of distinct summand_base^a_j."
 
 
-@dataclass(frozen=True)
-class ExactSolution:
-    """An integer identity power_base^x = sum of distinct summand_base^a_j."""
-
-    x: int
-    exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Progression:
+class Progression(namedtuple("Progression", "start step count")):
     """Arithmetic progression start, start+step, ... with `count` members."""
 
-    start: int
-    step: int
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.step < 1 or self.count < 0:
-            raise InvalidInput(f"progression needs step >= 1 and count >= 0, got {self}")
+    def __new__(cls, start: int, step: int, count: int):
+        if step < 1 or count < 0:
+            raise InvalidInput(f"progression needs step >= 1 and count >= 0, got {step=}, {count=}")
+        return tuple.__new__(cls, (start, step, count))
 
     def members(self) -> range:
         return range(self.start, self.start + self.step * self.count, self.step)
 
 
-@dataclass(frozen=True, slots=True)
-class LiftPlan:
+class LiftPlan(namedtuple("LiftPlan", "runs left_lifts split counts ordered")):
     """How one solution lifts from a modulus to the next one.
 
     runs holds (lift set, m) for each run of m equal exponents, in exponent
@@ -116,21 +101,28 @@ class LiftPlan:
     new values of x. runs[:split] go to the left (subtracted) side of a
     balanced match, so the split never separates equal exponents. counts
     (each run's multiset count) and ordered (the product of the lift-set
-    sizes) depend on the runs alone, so they hold at any split and take no
-    part in equality; a plan built without them derives them by _run_sizes.
+    sizes) depend on the runs alone, so they hold at any split (_replace
+    keeps them) and take no part in equality or the hash; a plan built
+    without them derives them by _run_sizes.
     """
 
-    runs: tuple[tuple[Progression, int], ...]
-    left_lifts: Progression
-    split: int
-    counts: tuple[int, ...] = field(default=None, compare=False, repr=False)
-    ordered: int = field(default=None, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.counts is None:  # compute_lift_plan passes them from its run walk
-            sizes = [_run_sizes(p.count, m) for p, m in self.runs]
-            object.__setattr__(self, "counts", tuple([count for count, _ in sizes]))
-            object.__setattr__(self, "ordered", math.prod(size for _, size in sizes))
+    def __new__(cls, runs, left_lifts: Progression, split: int, counts=None, ordered=None):
+        if counts is None:  # compute_lift_plan passes them from its run walk
+            sizes = [_run_sizes(p.count, m) for p, m in runs]
+            counts = tuple([count for count, _ in sizes])
+            ordered = math.prod(size for _, size in sizes)
+        return tuple.__new__(cls, (runs, left_lifts, split, counts, ordered))
+
+    def __eq__(self, other):
+        return self[:3] == other[:3] if isinstance(other, LiftPlan) else NotImplemented
+
+    def __ne__(self, other):  # tuple's own != would compare counts and ordered too
+        return self[:3] != other[:3] if isinstance(other, LiftPlan) else NotImplemented
+
+    def __hash__(self):
+        return hash(self[:3])
 
     @property
     def chi(self) -> int:
@@ -157,42 +149,43 @@ class LiftPlan:
         return self.ordered, self.chi * math.prod(counts[:k]), math.prod(counts[k:])
 
 
-@dataclass
 class SolverConfig:
-    workers: int = 1
-    memory_cap: int = DEFAULT_MEMORY_CAP
+    """How a solve runs: its worker processes and the multiset entries one
+    lift table side may hold."""
 
-    def __post_init__(self):
-        for name in ("workers", "memory_cap"):
-            value = getattr(self, name)
+    def __init__(self, workers: int = 1, memory_cap: int = DEFAULT_MEMORY_CAP):
+        for name, value in (("workers", workers), ("memory_cap", memory_cap)):
             if type(value) is not int or value < 1:
                 raise InvalidInput(f"{name} must be an integer >= 1, got {value!r}")
+        self.workers = workers
+        self.memory_cap = memory_cap
+
+    def __repr__(self) -> str:
+        return f"SolverConfig(workers={self.workers}, memory_cap={self.memory_cap})"
 
 
-@dataclass
-class StepStats:
-    index: int  # 1-based chain position
-    factor: str
-    incoming: int
-    finalized_early: int
-    balanced: int
-    unbalanced: int
-    survivors: int
-    seconds: float
+StepStats = namedtuple(
+    "StepStats", "index factor incoming finalized_early balanced unbalanced survivors seconds"
+)
+StepStats.__doc__ = "One step of a run: its 1-based chain index, class counts and wall seconds."
 
 
-@dataclass
 class RunReport:
-    direction: str
-    n: int
-    steps: list[StepStats] = field(default_factory=list)
-    complete: bool = False
-    terminated_at: int | None = None
-    base_count: int = 0
-    parity_shortcut: bool = False
-    remaining: list[SolutionModM] = field(default_factory=list)
-    base_seconds: float = 0.0  # enumerate_base_solutions, outside every step
-    seconds: float = 0.0
+    """What a solve did: its steps, where it stopped, the classes still live
+    if the chain ran out, and its timings (base_seconds is
+    enumerate_base_solutions, outside every step)."""
+
+    def __init__(self, direction: str, n: int):
+        self.direction = direction
+        self.n = n
+        self.steps: list[StepStats] = []
+        self.complete = False
+        self.terminated_at: int | None = None
+        self.base_count = 0
+        self.parity_shortcut = False
+        self.remaining: list[SolutionModM] = []
+        self.base_seconds = 0.0
+        self.seconds = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +782,7 @@ def lift_unbalanced(
         raise UnbalancedInapplicable(f"step factor {nxt.factor} is not a fresh prime >= 5")
     # every run's multisets, as on the right of a balanced match split at 0;
     # _lift_chunk sends only plans whose chi outruns them, which split at 0
-    whole = plan if not plan.split else replace(plan, split=0)
+    whole = plan if not plan.split else plan._replace(split=0)
     ordered, _, combos_count = whole._sizes
     if combos_count > memory_cap:
         raise MemoryBudgetExceeded(

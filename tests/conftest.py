@@ -131,13 +131,14 @@ def t3():
 
 @pytest.fixture
 def fresh_python():
-    """Run Python source in a fresh interpreter that imports modchain from this
-    checkout's src/, and return its stdout; a non-zero exit fails the test."""
+    """Run Python source in a fresh interpreter, with any interpreter flags,
+    that imports modchain from this checkout's src/, and return its stdout;
+    a non-zero exit fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def run(code: str) -> str:
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    def run(code: str, *flags: str) -> str:
+        done = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         return done.stdout
 

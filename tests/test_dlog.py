@@ -4,6 +4,7 @@ import random
 import pytest
 
 from modchain import (
+    DlogResult,
     FactoredModulus,
     InvalidInput,
     MemoryBudgetExceeded,
@@ -181,6 +182,12 @@ def test_exponent_class_errors():
         ctx.exponent_class(530713, 5)
     with pytest.raises(InvalidInput):
         ctx.dlog(0)
+    # a class outside [0, its modulus) is refused however it is built
+    for residue in (3, -1):
+        with pytest.raises(InvalidInput):
+            DlogResult(residue, 3)
+        with pytest.raises(InvalidInput):
+            DlogResult(residue_class=residue, class_modulus=3)
 
 
 def test_baby_table_cap(monkeypatch):

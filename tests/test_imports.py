@@ -1,6 +1,6 @@
 """Every name that the package, the scripts, the tests and the benchmark import
 is used, every private module-level name of the package is read in it, and
-`import modchain` loads only the modules a solve runs."""
+`import modchain` loads only the modules a solve runs, with no dataclasses."""
 
 import ast
 from pathlib import Path
@@ -116,6 +116,22 @@ def test_import_loads_only_the_solve_path(fresh_python):
     )
     solve_path = ["chains", "dlog", "errors", "factorint", "modcore", "solver"]
     assert out.split() == ["modchain", *(f"modchain.{m}" for m in solve_path)]
+
+
+def test_import_builds_records_without_code_generation(fresh_python):
+    # the records are named tuples, so no dataclass machinery (nor typing)
+    # is imported to build them; -S keeps site's own imports out of the
+    # interpreter, so the diff shows all that the package loads
+    out = fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import modchain\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n",
+        "-S",
+    )
+    loaded = out.split()
+    assert "modchain.solver" in loaded
+    assert not {"dataclasses", "typing"} & set(loaded), loaded
 
 
 def test_every_public_name_resolves():

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import gc
 import itertools
 import math
@@ -14,6 +13,11 @@ import pytest
 from modchain import (
     Chain,
     ChainExhausted,
+    ChainFile,
+    ChainStep,
+    CycleShape,
+    DlogResult,
+    ExactSolution,
     FactoredModulus,
     InvalidInput,
     LiftPlan,
@@ -23,6 +27,7 @@ from modchain import (
     Progression,
     SolutionModM,
     SolverConfig,
+    StepStats,
     UnbalancedInapplicable,
     bit_count_table,
     compute_lift_plan,
@@ -101,7 +106,11 @@ def test_problem_spec():
     with pytest.raises(InvalidInput):
         ProblemSpec(3, 3, 2)
     with pytest.raises(InvalidInput):
+        ProblemSpec(2, 2, 3)
+    with pytest.raises(InvalidInput):
         ProblemSpec(3, 2, 0)
+    with pytest.raises(InvalidInput):
+        ProblemSpec(power_base=3, summand_base=2, n=0)
     with pytest.raises(InvalidInput):
         ProblemSpec.from_direction("3=sum4", 2)
 
@@ -133,6 +142,8 @@ def test_progression_members():
     for step, count in ((0, 1), (-2, 3), (1, -1)):
         with pytest.raises(InvalidInput):
             Progression(5, step, count)
+        with pytest.raises(InvalidInput):
+            Progression(start=0, step=step, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +712,7 @@ def test_memory_cap_counts_multisets():
 def test_plan_sizes_follow_the_plans_own_split():
     # the ordered product and both table sizes come from a plan's own runs
     # and split: at every legal split, whether compute_lift_plan, LiftPlan
-    # or dataclasses.replace built the plan, they equal a brute-force count;
+    # or _replace built the plan, they equal a brute-force count;
     # the run walk's counts and ordered product take no part in equality
     plans = moved = 0
     for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 40):
@@ -713,7 +724,7 @@ def test_plan_sizes_follow_the_plans_own_split():
                      for k in range(len(plan.runs) + 1)}
             for k, want in sizes.items():
                 assert LiftPlan(plan.runs, plan.left_lifts, k)._sizes == want, (sol, k)
-                assert dataclasses.replace(plan, split=k)._sizes == want, (sol, k)
+                assert plan._replace(split=k)._sizes == want, (sol, k)
                 moved += want != sizes[plan.split]
             assert plan._sizes == sizes[plan.split], sol
             assert (plan.counts, plan.ordered) == (tuple(counts), ordered), sol
@@ -727,19 +738,34 @@ def test_plan_sizes_follow_the_plans_own_split():
 
 
 def test_records_are_slotted_and_frozen():
-    # the per-class records carry no instance dict, stay immutable, and a
-    # class survives the pickle round trip that sends it to a pool worker
-    sol = SolutionModM(5, (0, 1, 3), 2)
+    # every record is a named tuple with no instance dict that refuses
+    # assignment, and the pool payload (the spec, the chain steps with their
+    # moduli and a chunk of classes) survives the pickle round trip that
+    # sends it to a worker
+    m = FactoredModulus.from_int(2 * 7 * 73)
+    spec, step, sol = ProblemSpec(3, 2, 5), ChainStep(1, m, m, 9, 12), SolutionModM(5, (0, 1, 3), 2)
     prog = Progression(1, 2, 3)
-    plan = LiftPlan(((prog, 2),), Progression(0, 4, 2), 1)
-    for record, name in ((sol, "x"), (sol, "exponents"), (prog, "count"), (plan, "split"), (plan, "counts")):
+    records = [
+        (spec, "n"), (sol, "x"), (sol, "exponents"), (ExactSolution(2, (0, 3)), "x"),
+        (prog, "count"), (LiftPlan(((prog, 2),), Progression(0, 4, 2), 1), "counts"),
+        (StepStats(1, "7", 4, 0, 4, 0, 3, 0.5), "index"), (m, "value"),
+        (CycleShape(2, 1, 3), "loop_len"), (step, "index"), (step, "modulus"),
+        (ChainFile((("factor", m),)), "entries"), (DlogResult(1, 3), "residue_class"),
+    ]
+    for record, name in records:
         assert not hasattr(record, "__dict__"), type(record)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
             setattr(record, name, 0)
+        assert getattr(record, name) is before, (type(record), name)
     for protocol in (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
-        back = pickle.loads(pickle.dumps(sol, protocol))
-        assert back == sol and back is not sol, protocol
-        assert (back.x, back.exponents, back.modulus_index) == (5, (0, 1, 3), 2), protocol
+        for record in (spec, step, sol):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert type(back) is type(record) and back is not record, (record, protocol)
+            assert back._asdict() == record._asdict(), (record, protocol)
+        back = pickle.loads(pickle.dumps(step, protocol))
+        assert type(back.factor) is type(back.modulus) is FactoredModulus, protocol
+        assert back.modulus.coprime_factors == ((7, 1), (73, 1)), protocol
 
 
 def test_left_side_indices_match_a_scan(t2):
