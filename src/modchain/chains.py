@@ -15,6 +15,7 @@ direction header records which equation the chain was designed for:
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 
 from .errors import InvalidInput
@@ -191,9 +192,9 @@ def load_chain_file(path: str) -> ChainFile:
 
 
 def bundled_chain_text(name: str) -> str:
-    from importlib import resources  # it imports typing, so not on `import modchain`
-
-    return (resources.files("modchain") / "tables" / name).read_text(encoding="utf-8")
+    """The text of a bundled chain, read from tables/ beside this module."""
+    with open(os.path.join(os.path.dirname(__file__), "tables", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def bundled_chain(name: str) -> Chain:

@@ -134,20 +134,16 @@ def _cmd_solve(args) -> int:
     try:
         solutions, report = solve_chain(spec, chain, cfg, callback)
     except ChainExhausted as exc:
-        for sol in exc.solutions:
-            print(_machine_line(sol.x, sol.exponents) if args.format == "machine" else _text_line(spec, sol))
+        solutions, report = exc.solutions, exc.report
+    for sol in solutions:
+        print(_machine_line(sol.x, sol.exponents) if args.format == "machine" else _text_line(spec, sol))
+    if not report.complete:  # the chain ran out
         print(
             f"chain exhausted after {len(chain)} steps with "
-            f"{len(exc.report.remaining)} unresolved congruence classes",
+            f"{len(report.remaining)} unresolved congruence classes",
             file=sys.stderr,
         )
         return 3
-
-    for sol in solutions:
-        if args.format == "machine":
-            print(_machine_line(sol.x, sol.exponents))
-        else:
-            print(_text_line(spec, sol))
     where = "parity" if report.parity_shortcut else f"step {report.terminated_at}"
     print(
         f"n={spec.n} {direction}: {len(solutions)} solution(s), settled at {where}, "

@@ -14,7 +14,6 @@ condition on the left side.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from collections import namedtuple
 from contextlib import contextmanager
@@ -101,28 +100,11 @@ class LiftPlan(namedtuple("LiftPlan", "runs left_lifts split counts ordered")):
     new values of x. runs[:split] go to the left (subtracted) side of a
     balanced match, so the split never separates equal exponents. counts
     (each run's multiset count) and ordered (the product of the lift-set
-    sizes) depend on the runs alone, so they hold at any split (_replace
-    keeps them) and take no part in equality or the hash; a plan built
-    without them derives them by _run_sizes.
+    sizes) depend on the runs alone, so they hold at any split: _replace
+    moves the split and keeps them.
     """
 
     __slots__ = ()
-
-    def __new__(cls, runs, left_lifts: Progression, split: int, counts=None, ordered=None):
-        if counts is None:  # compute_lift_plan passes them from its run walk
-            sizes = [_run_sizes(p.count, m) for p, m in runs]
-            counts = tuple([count for count, _ in sizes])
-            ordered = math.prod(size for _, size in sizes)
-        return tuple.__new__(cls, (runs, left_lifts, split, counts, ordered))
-
-    def __eq__(self, other):
-        return self[:3] == other[:3] if isinstance(other, LiftPlan) else NotImplemented
-
-    def __ne__(self, other):  # tuple's own != would compare counts and ordered too
-        return self[:3] != other[:3] if isinstance(other, LiftPlan) else NotImplemented
-
-    def __hash__(self):
-        return hash(self[:3])
 
     @property
     def chi(self) -> int:
@@ -268,11 +250,6 @@ def _checked(
 def _multiset_count(k: int, m: int) -> int:
     """Number of m-multisets drawn from k items."""
     return math.comb(k + m - 1, m) if k else int(m == 0)
-
-
-def _run_sizes(k: int, m: int) -> tuple[int, int]:
-    """(multiset count, ordered count) of a run of m exponents with k lifts each."""
-    return _multiset_count(k, m), k**m
 
 
 def _walk(base: int, prog: Progression, M: int) -> list[int]:
@@ -619,7 +596,7 @@ def _run(prev: CycleShape, nxt: CycleShape, key) -> tuple[tuple[Progression, int
     exponents equal to e, keyed by e when m is 1 and by (e, m) otherwise."""
     e, m = (key, 1) if isinstance(key, int) else key
     prog = lift_progression(e, prev, nxt)
-    return ((prog, m), *_run_sizes(prog.count, m))
+    return (prog, m), _multiset_count(prog.count, m), prog.count**m
 
 
 def _table(runs: _Memo, pows: _Memo, base: int, M: int, key: tuple[int, int]):
@@ -693,7 +670,7 @@ def _right_side(sol: SolutionModM, plan: LiftPlan, ordered: int, ws: _StepWorksp
     if ordered == 1 and not plan.split:
         return [sum(map(ws.pows.__getitem__, sol.exponents)) % ws.M], [], sol.exponents
     tables = [ws.tables[prog.start, m] for prog, m in plan.runs[plan.split :]]
-    first = tables[0][1] if tables else [0]  # [0]: a hand-built plan split after its last run
+    first = tables[0][1] if tables else [0]  # [0]: a plan moved to split after its last run
     return _cross_sums(first, tables[1:], ws.M, sign=+1), tables, ()
 
 
@@ -860,8 +837,11 @@ def _lift_step(
         results = list(pool.map(_lift_chunk, [(spec, prev, nxt, c, cfg.memory_cap) for c in chunks]))
     else:
         results = [_lift_chunk((spec, prev, nxt, working, cfg.memory_cap))]
-    children = [s for _, _, out in results for s in out]
-    children.sort(key=operator.attrgetter("x", "exponents"))
+    # every child is at nxt's index, so tuple order is (x, exponents) order
+    children = results[0][2]
+    for _, _, out in results[1:]:
+        children.extend(out)
+    children.sort()
     return sum(r[0] for r in results), sum(r[1] for r in results), children
 
 
@@ -956,12 +936,12 @@ def solve_chain(
                 report.complete = True
                 break
 
-    solutions = sorted(finals, key=lambda s: (s.x, s.exponents))
+    finals.sort()
     report.seconds = time.perf_counter() - t0
     if not report.complete:
         report.remaining = working
-        raise ChainExhausted(solutions, report)
-    return solutions, report
+        raise ChainExhausted(finals, report)
+    return finals, report
 
 
 def modular_solutions(

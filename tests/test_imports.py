@@ -120,18 +120,20 @@ def test_import_loads_only_the_solve_path(fresh_python):
 
 def test_import_builds_records_without_code_generation(fresh_python):
     # the records are named tuples, so no dataclass machinery (nor typing)
-    # is imported to build them; -S keeps site's own imports out of the
+    # is imported to build them, and a bundled chain is read with a plain
+    # open, not importlib.resources; -S keeps site's own imports out of the
     # interpreter, so the diff shows all that the package loads
     out = fresh_python(
         "import sys\n"
         "before = set(sys.modules)\n"
         "import modchain\n"
+        "assert len(modchain.bundled_chain('t2.chain')) > 1\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n",
         "-S",
     )
     loaded = out.split()
     assert "modchain.solver" in loaded
-    assert not {"dataclasses", "typing"} & set(loaded), loaded
+    assert not {"dataclasses", "typing", "importlib.resources"} & set(loaded), loaded
 
 
 def test_every_public_name_resolves():

@@ -688,9 +688,9 @@ def test_memory_cap_counts_multisets():
     plan = compute_lift_plan(sol, prev, nxt, SPEC3)
     assert (plan.chi, plan.split_index, [p.count for p in plan.lift_sets]) == (4, 0, [1, 8, 8])
     want = set(ordered_lift(sol, plan, nxt, SPEC3))
-    # a hand-built plan split after both runs tables 4 * 36 = 144 entries on
+    # the plan moved to split after both runs tables 4 * 36 = 144 entries on
     # the left; the dlog lift tables the 36 multisets whatever the split
-    moved = LiftPlan(plan.runs, plan.left_lifts, 2)
+    moved = plan._replace(split=2)
     for p, caps in ((plan, {lift_balanced: 36, lift_unbalanced: 36}),
                     (moved, {lift_balanced: 144, lift_unbalanced: 36})):
         for lift, cap in caps.items():
@@ -711,9 +711,8 @@ def test_memory_cap_counts_multisets():
 
 def test_plan_sizes_follow_the_plans_own_split():
     # the ordered product and both table sizes come from a plan's own runs
-    # and split: at every legal split, whether compute_lift_plan, LiftPlan
-    # or _replace built the plan, they equal a brute-force count;
-    # the run walk's counts and ordered product take no part in equality
+    # and split: at every legal split, whether compute_lift_plan or _replace
+    # built the plan, they equal a brute-force count
     plans = moved = 0
     for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 40):
         for sol in sols:
@@ -723,14 +722,10 @@ def test_plan_sizes_follow_the_plans_own_split():
             sizes = {k: (ordered, plan.chi * math.prod(counts[:k]), math.prod(counts[k:]))
                      for k in range(len(plan.runs) + 1)}
             for k, want in sizes.items():
-                assert LiftPlan(plan.runs, plan.left_lifts, k)._sizes == want, (sol, k)
                 assert plan._replace(split=k)._sizes == want, (sol, k)
                 moved += want != sizes[plan.split]
             assert plan._sizes == sizes[plan.split], sol
             assert (plan.counts, plan.ordered) == (tuple(counts), ordered), sol
-            rebuilt = LiftPlan(plan.runs, plan.left_lifts, plan.split)
-            assert plan == rebuilt and hash(plan) == hash(rebuilt), sol
-            assert plan == LiftPlan(plan.runs, plan.left_lifts, plan.split, (), 0), sol
             # a plan chi outruns, which _lift_chunk sends to the dlog lift, splits at 0
             assert plan.chi <= ordered or plan.split == 0, sol
             plans += 1
@@ -747,7 +742,7 @@ def test_records_are_slotted_and_frozen():
     prog = Progression(1, 2, 3)
     records = [
         (spec, "n"), (sol, "x"), (sol, "exponents"), (ExactSolution(2, (0, 3)), "x"),
-        (prog, "count"), (LiftPlan(((prog, 2),), Progression(0, 4, 2), 1), "counts"),
+        (prog, "count"), (LiftPlan(((prog, 2),), Progression(0, 4, 2), 1, (6,), 9), "counts"),
         (StepStats(1, "7", 4, 0, 4, 0, 3, 0.5), "index"), (m, "value"),
         (CycleShape(2, 1, 3), "loop_len"), (step, "index"), (step, "modulus"),
         (ChainFile((("factor", m),)), "entries"), (DlogResult(1, 3), "residue_class"),
@@ -851,14 +846,14 @@ def test_left_side_reuse_matches_fresh_workspaces(t2):
             if last and last[0].left_lifts != plan.left_lifts and (last[1] or got):
                 other_x += last[0].runs[: last[0].split] == plan.runs[: plan.split]
             last = plan, got
-        # the same x and runs under another split, from a hand-built plan
+        # the same x and runs under another split, by _replace
         ws = _StepWorkspace(spec, prev, nxt)
         for sol in sols:
             plan = compute_lift_plan(sol, prev, nxt, spec, ws)
             split = plan.split - 1 if plan.split else plan.split + 1
             if split > len(plan.runs) or not small_plan(plan):
                 continue
-            moved = LiftPlan(plan.runs, plan.left_lifts, split)
+            moved = plan._replace(split=split)
             got = lifted(sol, plan, ws)
             assert set(lifted(sol, moved, ws)) == set(got) == set(lifted(sol, plan, ws))
             other_split += bool(got)
@@ -1059,13 +1054,17 @@ def test_mirror_small(t3):
 
 
 def test_worker_pool_matches_serial(t2):
+    # at 3 workers a step merges three chunk lists, extended onto the first
+    # and then sorted; the pooled class list must match the serial one in order
     spec = ProblemSpec(3, 2, 6)
     serial, rep1 = solve_chain(spec, t2)
-    pooled, rep2 = solve_chain(spec, t2, SolverConfig(workers=2))
-    assert [(s.x, s.exponents) for s in serial] == [(s.x, s.exponents) for s in pooled]
-    assert rep1.terminated_at == rep2.terminated_at
     short = t2.prefix(6)
-    assert modular_solutions(spec, short, SolverConfig(workers=2)) == modular_solutions(spec, short)
+    classes = modular_solutions(spec, short)
+    for workers in (2, 3):
+        pooled, rep2 = solve_chain(spec, t2, SolverConfig(workers=workers))
+        assert [(s.x, s.exponents) for s in serial] == [(s.x, s.exponents) for s in pooled]
+        assert rep1.terminated_at == rep2.terminated_at
+        assert modular_solutions(spec, short, SolverConfig(workers=workers)) == classes, workers
 
 
 def test_chain_exhausted(t2):
