@@ -9,6 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modchain import (
     Chain,
@@ -48,6 +49,7 @@ from modchain.solver import (
     _base_plan,
     _choose_split,
     _cross_sums,
+    _decode,
     _indices,
     _left_tuples,
     _lift_chunk,
@@ -788,6 +790,28 @@ def test_left_side_indices_match_a_scan(t2):
     assert sides >= 100 and repeated >= 30, (sides, repeated)
 
 
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(0, 96), min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(0, 96), min_size=1, max_size=4), max_size=6),
+    st.sampled_from([1, -1]),
+)
+def test_cross_sums_in_halves_keep_the_layout(vals, sums, sign):
+    # three or more tables are crossed in two halves and one last round; the
+    # list must equal the rounds one table at a time, entry for entry, so
+    # that _decode recovers the start index and the combos behind each entry
+    M = 97
+    tables = [([(10 * t + r,) for r in range(len(s))], s) for t, s in enumerate(sums)]
+    want = vals
+    for _, s in tables:
+        want = [(v + sign * w) % M for v in want for w in s]
+    got = _cross_sums(vals, tables, M, sign)
+    assert got == want
+    choices = itertools.product(range(len(vals)), *(range(len(s)) for s in sums))
+    for index, (i, *rs) in enumerate(choices):
+        assert _decode(index, tables) == (i, tuple(10 * t + r for t, r in enumerate(rs))), index
+
+
 def assert_shared_workspace_agrees(sols, prev, nxt, spec):
     """Lifting every class through one workspace gives the plans and
     children of a fresh workspace per class; returns the classes compared."""
@@ -872,23 +896,31 @@ def test_step_workspace_dropped_with_its_step(t2):
 
 
 def test_step_workspace_freed_by_reference_counting(t2):
-    # no memo fill holds its workspace, so dropping the last reference frees
-    # a workspace that has lifted classes without the cycle collector
+    # no memo fill and no child check holds its workspace, so dropping the
+    # last reference frees a workspace that has lifted classes without the
+    # cycle collector: on balanced step 3, and on step 5, whose fresh prime
+    # 17 lets both lifts run and whose classes are all pinned (no table)
     spec = ProblemSpec(3, 2, 8)
-    prev, nxt = t2.steps[1], t2.steps[2]
-    sols = live_classes(spec, t2)[2]
-    ws = _StepWorkspace(spec, prev, nxt)
-    gc.disable()
-    try:
-        for sol in sols:
-            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
-            lift_balanced(sol, plan, prev, nxt, spec, workspace=ws)
-        assert all((ws.pows, ws.runs, ws.tables, ws.x_lifts, ws.x_powers))
-        ref = weakref.ref(ws)
-        del ws
-        assert ref() is None
-    finally:
-        gc.enable()
+    per_step = live_classes(spec, t2)
+    for step, lifts, filled in (
+        (3, (lift_balanced,), "pows runs tables x_lifts x_powers"),
+        (5, (lift_balanced, lift_unbalanced), "pows runs x_lifts x_powers"),
+    ):
+        prev, nxt = t2.steps[step - 2], t2.steps[step - 1]
+        ws = _StepWorkspace(spec, prev, nxt)
+        children = 0
+        gc.disable()
+        try:
+            for sol in per_step[step - 1]:
+                plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+                for lift in lifts:
+                    children += len(lift(sol, plan, prev, nxt, spec, workspace=ws))
+            assert children and all(getattr(ws, memo) for memo in filled.split()), step
+            ref = weakref.ref(ws)
+            del ws
+            assert ref() is None, step
+        finally:
+            gc.enable()
 
 
 def test_memo_makes_each_key_once():
@@ -975,6 +1007,58 @@ def test_pinned_census_classes_lift_as_brute_force():
     assert pinned >= 90 and rejected >= 30, (pinned, rejected)
 
 
+def folded_runs(plan) -> int:
+    """The runs of a plan whose lift set has one member (multiset count 1),
+    which either side of a lift folds into its constant."""
+    return sum(prog.count == 1 for prog, _ in plan.runs)
+
+
+def test_mixed_classes_lift_as_brute_force(t2):
+    # t2's balanced steps 6 and 10 hold classes whose plans mix folded runs
+    # with table runs, on the left and on the right of the split; each lifts
+    # to its brute-force children at its own split, at 0 and after its last
+    # run, and through _lift_chunk
+    spec = ProblemSpec(3, 2, 10)
+    per_step = live_classes(spec, t2)
+    mixed = left_folded = right_folded = 0
+    for i in (6, 10):
+        prev, nxt = t2.steps[i - 2], t2.steps[i - 1]
+        ws = _StepWorkspace(spec, prev, nxt)
+        sols = []
+        for sol in per_step[i - 1]:
+            plan = compute_lift_plan(sol, prev, nxt, spec, ws)
+            if not 0 < folded_runs(plan) < len(plan.runs):
+                continue
+            sols.append(sol)
+            left_folded += any(prog.count == 1 for prog, _ in plan.runs[: plan.split])
+            right_folded += any(prog.count == 1 for prog, _ in plan.runs[plan.split :])
+            children = sorted(brute_lift(sol, prev, nxt, spec)[0])
+            for p in (plan, plan._replace(split=0), plan._replace(split=len(plan.runs))):
+                got = lift_balanced(sol, p, prev, nxt, spec, workspace=ws)
+                assert sorted((c.x, c.exponents) for c in got) == children, (sol, p.split)
+        assert assert_lifts_as_brute_force(sols, prev, nxt, spec) == (0, 0), i
+        mixed += len(sols)
+    assert mixed >= 250 and left_folded >= 100 and right_folded >= 250, (mixed, left_folded, right_folded)
+
+
+def test_folded_repeat_census_classes_lift_as_brute_force():
+    # a census class may repeat an exponent whose lift set has one member:
+    # its run folds to the one multiset (e, e) beside the class's table runs,
+    # and the distinctness rule must still reject it when e is determinate
+    mixed = rejected = 0
+    for prev, nxt, spec, sols in itertools.islice(tiny_lift_steps(4242), 60):
+        keep = []
+        for sol in sols:
+            plan = compute_lift_plan(sol, prev, nxt, spec)
+            repeat = any(prog.count == 1 and m > 1 for prog, m in plan.runs)
+            if repeat and folded_runs(plan) < len(plan.runs):
+                keep.append(sol)
+                rejected += brute_lift(sol, prev, nxt, spec)[1]
+        assert_lifts_as_brute_force(keep, prev, nxt, spec)
+        mixed += len(keep)
+    assert mixed >= 60 and rejected >= 300, (mixed, rejected)
+
+
 def test_pinned_dlog_step_builds_no_tables(t3, monkeypatch):
     # every class of t3's step 4 (the fresh prime 530713) is pinned and goes
     # to the dlog lift, which takes its one sum without _cross_sums
@@ -1001,7 +1085,7 @@ def test_balanced_steps_lift_as_brute_force(t2):
         for sol in sols:
             plan = compute_lift_plan(sol, prev, nxt, spec, ws)
             assert plan.ordered > 1, sol
-            right = _right_side(sol, plan, plan.ordered, ws)[0]
+            right = _right_side(sol, plan, ws)[0]
             twice = {v for v, k in collections.Counter(right).items() if k > 1}
             for v in twice:
                 assert _indices(right, v) == [j for j, w in enumerate(right) if w == v], (sol, v)
