@@ -13,7 +13,7 @@ import sys
 
 from modchain import ChainExhausted, ModchainError, ProblemSpec, SolverConfig, solve_chain
 from modchain.chains import DIRECTIONS
-from modchain.cli import _load_chain, _positive_int
+from modchain.cli import _error_exit, _load_chain, _positive_int
 
 
 def main() -> int:
@@ -30,8 +30,7 @@ def main() -> int:
     try:
         chain, direction = _load_chain(args)
     except ModchainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
 
     cfg = SolverConfig(workers=args.workers)
     print(f"# chain of {len(chain)} steps, final modulus "
@@ -46,6 +45,8 @@ def main() -> int:
         except ChainExhausted as exc:
             sols, rep = exc.solutions, exc.report
             note = f" (+{len(rep.remaining)} unresolved)"
+        except ModchainError as exc:
+            return _error_exit(exc)
         total += rep.seconds
         where = "par" if rep.parity_shortcut else str(rep.terminated_at or "-")
         xs = ",".join(str(s.x) for s in sols) or "-"

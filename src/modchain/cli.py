@@ -289,20 +289,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_exit(exc: ModchainError) -> int:
+    """Print exc on stderr and return its exit code: 4 for a resource limit, else 2."""
+    if isinstance(exc, (MemoryBudgetExceeded, FactorizationNeeded, BaseModulusTooLarge)):
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 4
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MemoryBudgetExceeded, FactorizationNeeded, BaseModulusTooLarge) as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 4
     except ModchainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
 
 
 if __name__ == "__main__":

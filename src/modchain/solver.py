@@ -18,7 +18,7 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress, islice
 
 from .chains import Chain, ChainStep, direction_bases, fresh_prime
 from .dlog import prime_context
@@ -34,9 +34,12 @@ from .modcore import CycleShape, FactoredModulus, crt_pair, cycle_shape
 
 DEFAULT_MEMORY_CAP = 1 << 26  # multiset entries per lift table side
 DEFAULT_MAX_BASE_EXPONENTS = 64
-# base search tables: one entry is worth two streamed multisets of work (an
-# insert costs about twice a sum and lookup), and a plan may hold at most
-# _BASE_TABLE_CAP entries (about 150 bytes each) at once when any plan can
+# base search tables: one entry is weighed as two streamed bottoms of work (on
+# t3 at n = 16 and 22, on a 2-core VM with Python 3.11, an insert took 2.4-3.8
+# times a bottom's one add and lookup, but weights 2-4 moved the base search
+# by less than noise), and a plan may hold at most _BASE_TABLE_CAP entries
+# (about 150 bytes each) at once when any plan can; the ladder of bottom sums
+# keeps no longer level
 _TABLE_ENTRY_WORK = 2
 _BASE_TABLE_CAP = 1 << 16
 # classes one base enumeration may return; the bundled chains need at most
@@ -360,6 +363,32 @@ def _base_plan(
     return s, [count_work(s, c)[1:] for c in range(n + 1)]
 
 
+def _climb(level: list[int], values: list[int], j: int, M: int) -> list[int]:
+    """Level j of the ladder of multiset sums, from level j - 1: the sums mod M
+    of the j-multisets of values, in combinations_with_replacement order. The
+    j-multisets that start at values[i] are values[i] plus the (j-1)-multisets
+    of values[i:], which are the tail of level j - 1 of that length, so each
+    entry costs one add."""
+    size, m, out = len(level), len(values), []
+    for i, v in enumerate(values):
+        out += [(v + t) % M for t in level[size - _multiset_count(m - i, j - 1):]]
+    return out
+
+
+def _sum_blocks(level: list[int], K: int, values: list[int], k: int, M: int):
+    """The sums mod M of the k-multisets of values in combinations_with_replacement
+    order, from level K <= k of the ladder: level itself when k = K, else one
+    block per (k-K)-multiset prefix, its sum plus the tail of level K whose
+    K-multisets complete it. A block is never longer than level K."""
+    if k == K:
+        yield level
+        return
+    size, m = len(level), len(values)
+    for prefix in combinations_with_replacement(range(m), k - K):
+        p = sum(map(values.__getitem__, prefix))
+        yield [(p + t) % M for t in level[size - _multiset_count(m - prefix[-1], K):]]
+
+
 def _left_tuples(c: int, s: int, det: int, forced: int):
     """Sorted exponent tuples of count c over [0, s) that meet the side
     conditions: `forced` leading zeros, then k of the optional determinate
@@ -389,10 +418,17 @@ def enumerate_base_solutions(
     c the right part is an (n-c)-multiset of [s, T). Its r largest members
     (the top) are tabled with x and the left tuple, keyed by
     P^x - (left sum) - (top sum) mod M; its other members (the bottom) are
-    streamed with combinations_with_replacement, never stored, and looked
-    up by their sum. A match counts only when the bottom lies below the top,
-    so each multiset is found once. r = 0 is the plain split; r = 1 solves
-    for the last summand, which wins when T is much larger than n.
+    looked up by their sum. A match counts only when the bottom lies below
+    the top, so each multiset is found once. r = 0 is the plain split; r = 1
+    solves for the last summand, which wins when T is much larger than n.
+
+    Bottom and top sums come from a ladder of multiset sums over [s, T)
+    (_climb): level j lists the sums mod M of the j-multisets in
+    combinations_with_replacement order, one add per entry from level j - 1.
+    The counts are searched by bottom size, so the ladder only climbs, and
+    only its largest level that fits _BASE_TABLE_CAP is kept. A bottom size
+    past that level is streamed in blocks no longer than it (_sum_blocks);
+    each block is looked up at once, and only its found entries are decoded.
 
     Only the x that fit a left tuple are tabled with it. Q = S^min(s, tail)
     divides M, and every right summand S^a has a >= s, so it is 0 mod Q: a
@@ -405,11 +441,12 @@ def enumerate_base_solutions(
 
     Split rule (_base_plan): s and each count's r minimise the work, table
     entries plus bottoms streamed, from exact counts of the filtered entries,
-    with a table entry weighed as two streamed bottoms (an insert costs
-    about twice a lookup). Memory stays bounded because only one count's
-    table is alive at a time and the rule only picks plans whose tables hold
-    at most _BASE_TABLE_CAP entries; the plain split at s = det, which
-    builds the smallest tables, is the fallback when no plan fits.
+    with a table entry weighed as _TABLE_ENTRY_WORK streamed bottoms. Memory
+    stays bounded because only one count's table, one kept ladder level (two
+    while it climbs) and one block are alive at a time, and the rule only
+    picks plans whose tables hold at most _BASE_TABLE_CAP entries; the plain
+    split at s = det, which builds the smallest tables, is the fallback when
+    no plan fits.
     MemoryBudgetExceeded is raised as soon as more than _BASE_CLASS_CAP
     solutions are found.
     """
@@ -431,35 +468,46 @@ def enumerate_base_solutions(
     Q = spec.summand_base ** min(s, summand_shape.tail_len)
     x_by_residue = _x_by_residue(power_res, Q)
 
+    values, m = pow_s[s:], T - s
+    # the ladder's kept level K: the largest that fits _BASE_TABLE_CAP, up to the
+    # bottom size k in hand; the counts go by k, so it only climbs
+    level, K = [0], 0
     hits: list[tuple[int, tuple[int, ...]]] = []
-    for c, (r, entries) in enumerate(plan):
-        if not entries:
-            continue
+    for k, c, r in sorted((n - c - r, c, r) for c, (r, entries) in enumerate(plan) if entries):
+        while K < k and _multiset_count(m, K + 1) <= _BASE_TABLE_CAP:
+            K += 1
+            level = _climb(level, values, K, M)
+        tops = [0]
+        for j in range(1, r + 1):
+            tops = _climb(tops, values, j, M)
         # (P^x - left sum - top sum) mod M -> (x, left, top, next entry with that key),
         # for the left tuples of count c and the x that fit each one mod Q
         table: dict[int, tuple] = {}
         for left in _left_tuples(c, s, det, forced):
-            left_sum = sum(pow_s[i] for i in left)
+            left_sum = sum(map(pow_s.__getitem__, left))
             fits = x_by_residue.get(left_sum % Q)
             if fits is None:
                 continue
-            for top in combinations_with_replacement(right, r):
-                acc = left_sum + sum(pow_s[i] for i in top)
+            for top, top_sum in zip(combinations_with_replacement(right, r), tops):
+                acc = left_sum + top_sum
                 for x, p in fits:
                     key = (p - acc) % M
                     table[key] = (x, left, top, table.get(key))
-        bottoms = combinations_with_replacement(right, n - c - r)
-        sums = map(M.__rmod__, map(sum, combinations_with_replacement(pow_s[s:], n - c - r)))
-        for bottom, entry in zip(bottoms, map(table.get, sums)):
-            while entry:
-                x, left, top, entry = entry
-                # each right multiset counts once: as the bottom below its top
-                if not (bottom and top) or bottom[-1] <= top[0]:
-                    hits.append((x, left + bottom + top))
-                    if len(hits) > _BASE_CLASS_CAP:
-                        raise MemoryBudgetExceeded(
-                            f"more than {_BASE_CLASS_CAP} solutions modulo {M}"
-                        )
+        bottoms = combinations_with_replacement(right, k)
+        for block in _sum_blocks(level, K, values, k, M):
+            found = list(map(table.get, block))
+            # compress comes first, so zip drains the block's bottoms from the stream
+            for bottom, entry in zip(compress(islice(bottoms, len(block)), found),
+                                     filter(None, found)):
+                while entry:
+                    x, left, top, entry = entry
+                    # each right multiset counts once: as the bottom below its top
+                    if not (bottom and top) or bottom[-1] <= top[0]:
+                        hits.append((x, left + bottom + top))
+                        if len(hits) > _BASE_CLASS_CAP:
+                            raise MemoryBudgetExceeded(
+                                f"more than {_BASE_CLASS_CAP} solutions modulo {M}"
+                            )
     hits.sort()
     # every hit is checked as make_solution checks it, with the modulus's constants bound once
     check, tail = _checker(spec, m1, power_shape, summand_shape, pow_s), summand_shape.tail_len

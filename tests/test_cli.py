@@ -224,6 +224,16 @@ def test_sweep_script_bad_chain_file(tmp_path, monkeypatch, capsys, argv):
     assert_usage_error(capsys)
 
 
+def test_sweep_script_resource_limit(tmp_path, monkeypatch, capsys):
+    # the chain of test_solve_base_modulus_too_large: exit 4 as `modchain solve` does
+    (tmp_path / "wide.chain").write_text("direction: 3=sum2\n2^4 * 7 * 73 * 1000003\n")
+    assert run_script(monkeypatch, SWEEP, "--chain", str(tmp_path / "wide.chain"),
+                      "--n-max", "2") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: 3000010 distinct summand powers"), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", BAD_CHAIN_ARGV)
 def test_audit_script_bad_chain_file(tmp_path, monkeypatch, capsys, argv):
     write_chain_files(tmp_path, monkeypatch)

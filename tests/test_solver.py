@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from modchain.solver import (
     _BASE_TABLE_CAP,
     _base_plan,
     _choose_split,
+    _climb,
     _cross_sums,
     _decode,
     _indices,
@@ -57,6 +59,7 @@ from modchain.solver import (
     _multiset_count,
     _right_side,
     _StepWorkspace,
+    _sum_blocks,
 )
 
 from conftest import FAMILY_FACTORS
@@ -253,15 +256,43 @@ def test_base_brute_agreement():
     assert min(checked.values()) > 0, checked
 
 
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 10**6), max_size=8), st.integers(1, 10**6))
+def test_ladder_levels_and_blocks_list_every_multiset_sum(values, M):
+    # level k lists the sums mod M of the k-multisets of values in
+    # combinations_with_replacement order, and so do the blocks of level k
+    # streamed from any kept level K <= k, joined in order
+    levels = [[0]]
+    for k in range(8):
+        want = [sum(c) % M for c in itertools.combinations_with_replacement(values, k)]
+        if k:
+            levels.append(_climb(levels[-1], values, k, M))
+        assert levels[k] == want, k
+        for K in range(k + 1):
+            blocks = list(_sum_blocks(levels[K], K, values, k, M))
+            assert [t for block in blocks for t in block] == want, (K, k)
+            assert all(len(block) <= len(levels[K]) for block in blocks), (K, k)
+
+
 @pytest.mark.parametrize("cap", [_BASE_TABLE_CAP, 8])
 def test_base_plan_counts_are_exact(monkeypatch, cap):
     # each count's planned table entries = left tuples x the x that fit them
     # mod S^min(s, tail) x top multisets, counted by brute force; a table over
     # the cap is only ever the fallback (s = det, no tabled top). The tiny cap
-    # forces that fallback, and the search must still agree with brute force
+    # forces that fallback, and the search must still agree with brute force,
+    # with bottoms both from a kept ladder level and streamed in blocks past it
     monkeypatch.setattr("modchain.solver._BASE_TABLE_CAP", cap)
     rng = random.Random(13)
-    checked = dict.fromkeys(["filter, side conditions", "filter, census", "fallback"], 0)
+    checked = dict.fromkeys([
+        "filter, side conditions", "filter, census", "fallback",
+        "kept level", "block-streamed level",
+    ], 0)
+
+    def sum_blocks(level, K, values, k, M):
+        checked["kept level" if k == K else "block-streamed level"] += k > 0
+        return _sum_blocks(level, K, values, k, M)
+
+    monkeypatch.setattr("modchain.solver._sum_blocks", sum_blocks)
     for m_val in [5440, 8176, 1053] + [rng.randrange(2, 4000) for _ in range(60)]:
         m = fm(m_val)
         for power_base, summand_base in ((3, 2), (2, 3)):
@@ -291,6 +322,8 @@ def test_base_plan_counts_are_exact(monkeypatch, cap):
                     assert got == brute_base(spec, m, side), (m_val, spec, side)
     assert checked["filter, side conditions"] and checked["filter, census"], checked
     assert (checked["fallback"] > 0) == (cap < _BASE_TABLE_CAP), checked
+    if cap < _BASE_TABLE_CAP:
+        assert checked["kept level"] and checked["block-streamed level"], checked
 
 
 def brute_lefts(c, s, tail, side_conditions):
@@ -341,12 +374,26 @@ def test_base_class_cap(monkeypatch):
         enumerate_base_solutions(SPEC3, fm(5440), side_conditions=False)
     # the raw census mod 1053 at n = 6 holds millions of classes; it stops early
     monkeypatch.setattr("modchain.solver._BASE_CLASS_CAP", 1000)
-    t0 = time.perf_counter()
-    with pytest.raises(MemoryBudgetExceeded):
+
+    def census():
         enumerate_base_solutions(
             ProblemSpec(3, 2, 6), fm(1053), side_conditions=False, max_exponents=4000
         )
+
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetExceeded):
+        census()
     assert time.perf_counter() - t0 < 1.0
+    # and in bounded memory: its 108 powers have 215,820 3-multisets, a ladder
+    # level over _BASE_TABLE_CAP, and 5,989,005 4-multisets to look up
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetExceeded):
+            census()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 # ---------------------------------------------------------------------------
